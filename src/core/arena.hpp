@@ -34,9 +34,9 @@ struct ArenaStats {
   std::uint64_t pool_misses = 0;     ///< leases that had to allocate
   std::uint64_t bytes_leased = 0;    ///< sum of requested capacities
   /// Deliberate materializations of a DATA payload into fresh storage.
-  /// Zero on the zero-copy path by construction; the copy-path fallback
-  /// (DistributedOptions::copy_payloads) books every copy here, which is
-  /// how the differential tests prove the hot path stayed copy-free.
+  /// Zero on the engines' data path by construction (every distributed rank
+  /// checks it at exit); the copying baseline of the network bench books
+  /// every copy here.
   std::uint64_t payload_copies = 0;
   std::uint64_t payload_copy_bytes = 0;
 

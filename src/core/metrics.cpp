@@ -4,8 +4,8 @@
 
 namespace dc::core {
 
-void publish(const Metrics& m, obs::MetricsRegistry& reg,
-             const std::string& prefix) {
+void publish_ledger(const Metrics& m, obs::MetricsRegistry& reg,
+                    const std::string& prefix) {
   reg.set(prefix + ".makespan", m.makespan);
   reg.set(prefix + ".acks_total", m.acks_total);
   reg.set(prefix + ".ack_bytes_total", m.ack_bytes_total);
@@ -42,7 +42,11 @@ void publish(const Metrics& m, obs::MetricsRegistry& reg,
     reg.set(base + ".payload_bytes", s.payload_bytes);
     reg.set(base + ".message_bytes", s.message_bytes);
   }
+}
 
+void publish(const Metrics& m, obs::MetricsRegistry& reg,
+             const std::string& prefix) {
+  publish_ledger(m, reg, prefix);
   const FaultMetrics& f = m.faults;
   reg.set(prefix + ".faults.hosts_failed", f.hosts_failed);
   reg.set(prefix + ".faults.failovers", f.failovers);

@@ -13,15 +13,20 @@ class MetricsRegistry;
 
 namespace dc::core {
 
-/// Per-filter-instance counters.
+/// Per-filter-instance counters. The simulator measures durations in virtual
+/// time; exec::Engine measures them in wall-clock seconds on real threads and
+/// additionally splits out the input-side and storage waits (the simulator's
+/// actors are event-driven and leave those at zero).
 struct InstanceMetrics {
   int filter = -1;
   int instance = -1;
   int host = -1;
   std::string host_class;
   double work_ops = 0.0;              ///< charged compute demand
-  sim::SimTime busy_time = 0.0;       ///< virtual time spent in CPU jobs
-  sim::SimTime stall_time = 0.0;      ///< virtual time blocked on output windows
+  sim::SimTime busy_time = 0.0;       ///< time spent in CPU jobs / callbacks
+  sim::SimTime stall_time = 0.0;      ///< time blocked on output windows/queues
+  double queue_wait_time = 0.0;       ///< wall seconds blocked waiting for input
+  double io_wait_time = 0.0;          ///< wall seconds blocked on real storage I/O
   std::uint64_t buffers_in = 0;
   std::uint64_t buffers_out = 0;
   std::uint64_t bytes_in = 0;
@@ -104,6 +109,7 @@ struct FilterAggregate {
   sim::SimTime busy_min = 0.0;
   sim::SimTime busy_avg = 0.0;
   sim::SimTime busy_max = 0.0;
+  double queue_wait_avg = 0.0;
   double work_ops = 0.0;
 };
 
@@ -123,16 +129,21 @@ struct Metrics {
     agg.name = name;
     bool first = true;
     double sum = 0.0;
+    double wait_sum = 0.0;
     for (const auto& m : instances) {
       if (m.filter != filter) continue;
       ++agg.instances;
       sum += m.busy_time;
+      wait_sum += m.queue_wait_time;
       agg.work_ops += m.work_ops;
       if (first || m.busy_time < agg.busy_min) agg.busy_min = m.busy_time;
       if (first || m.busy_time > agg.busy_max) agg.busy_max = m.busy_time;
       first = false;
     }
-    if (agg.instances > 0) agg.busy_avg = sum / agg.instances;
+    if (agg.instances > 0) {
+      agg.busy_avg = sum / agg.instances;
+      agg.queue_wait_avg = wait_sum / agg.instances;
+    }
     return agg;
   }
 
@@ -159,5 +170,10 @@ struct Metrics {
 /// instead of three metric dialects.
 void publish(const Metrics& m, obs::MetricsRegistry& reg,
              const std::string& prefix = "sim");
+
+/// The part of publish() every engine shares: makespan / ack totals, the
+/// instance count, the summed per-instance counters, and the stream ledger.
+void publish_ledger(const Metrics& m, obs::MetricsRegistry& reg,
+                    const std::string& prefix);
 
 }  // namespace dc::core

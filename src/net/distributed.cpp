@@ -1,25 +1,12 @@
 #include "net/distributed.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <exception>
-#include <filesystem>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
-#include "core/arena.hpp"
 #include "core/autoplace.hpp"
-#include "core/buffer.hpp"
-#include "core/filter.hpp"
-#include "core/writer_state.hpp"
-#include "exec/queue.hpp"
-#include "io/spill.hpp"
 
 namespace dc::net {
 
@@ -37,20 +24,6 @@ std::int64_t now_ns() {
       .count();
 }
 
-struct PendingOut {
-  int port;
-  core::Buffer buf;
-};
-
-/// Per-stream counters private to one worker thread; summed into the shared
-/// exec::Metrics after the UOW's threads joined (joins provide the
-/// happens-before — same scheme as exec::Engine).
-struct StreamDelta {
-  std::uint64_t buffers = 0;
-  std::uint64_t payload_bytes = 0;
-  std::uint64_t message_bytes = 0;
-};
-
 }  // namespace
 
 const char* to_string(RunStatus s) {
@@ -65,165 +38,6 @@ const char* to_string(RunStatus s) {
   return "?";
 }
 
-/// A buffer delivered into a local copy set's channel. `route` is the full
-/// engine-agnostic identity (it arrived embedded in the DATA frame, or was
-/// synthesized for an in-process dispatch); `origin` says which rank's
-/// producer must be settled on dequeue — locally via WriterState, remotely
-/// via CREDIT / ACK frames.
-struct DistributedEngine::Delivery {
-  core::Buffer buf;
-  core::BufferRoute route;
-  int origin = -1;
-};
-
-/// All transparent copies of one (filter, host) placement entry. Every rank
-/// materializes the full copy-set list (so stream target indices agree
-/// across processes — they index the same placement everywhere); only sets
-/// whose host is this rank get a channel and instances.
-struct DistributedEngine::CopySetRt {
-  int filter = -1;
-  int host = -1;
-  std::vector<Instance*> copies;  ///< local ranks only
-  /// Overflow store for the governed regime (null when ungoverned or
-  /// remote). Declared before the channel so the channel — whose spill
-  /// hooks hold a raw pointer to it — is destroyed first.
-  std::unique_ptr<io::SpillFile> spill;
-  exec::PortChannel<Delivery> channel;
-
-  // Fault-tolerance state (unused when detection == kNone).
-  /// Failed over: routing fences the set, late credits for it are stale.
-  /// Written under state_mu_; atomic so dispatch's dead-target predicate
-  /// can read it under only the producer's wmu.
-  std::atomic<bool> down{false};
-  int copies_n = 0;      ///< total copies in this set (local or not)
-  int first_global = 0;  ///< global index of the set's first copy
-  /// Local consumer sets only: per input stream, which producer copies have
-  /// settled their end-of-work marker (frame arrival OR death settlement) —
-  /// the exactly-once guard between the two. Guarded by state_mu_.
-  std::map<int, std::vector<char>> eow_seen;
-};
-
-struct DistributedEngine::StreamRt {
-  const core::StreamSpec* spec = nullptr;
-  int id = -1;
-  std::vector<CopySetRt*> targets;
-  std::vector<int> wrr_order;  ///< target indices, one entry per consumer copy
-};
-
-struct DistributedEngine::Writer : core::WriterState {
-  StreamRt* stream = nullptr;
-  /// Per target: envelope copies of dispatched buffers not yet the
-  /// consumer's responsibility (released by CREDIT under RR/WRR, by ACK
-  /// under DD; reclaimed wholesale at failover). Payload storage is shared,
-  /// so retention costs an envelope, not a data copy. Guarded by the owning
-  /// instance's wmu. Empty when fault tolerance is off.
-  std::vector<std::deque<core::Buffer>> retained;
-};
-
-/// One local transparent copy, bound to one worker thread. `writers` is
-/// guarded by wmu — the owner dispatches; local consumer threads and the
-/// peer-link recv threads (applying CREDIT / ACK frames) release windows.
-struct DistributedEngine::Instance {
-  DistributedEngine* eng = nullptr;
-  int filter = -1;
-  int index = -1;         ///< global index among the filter's copies
-  int copy_in_host = -1;  ///< index within the copy set
-  CopySetRt* cset = nullptr;
-  std::unique_ptr<core::Filter> user;
-  std::vector<Writer> writers;  ///< per output port
-
-  std::mutex wmu;
-  std::condition_variable wcv;
-
-  bool in_init = false;
-  std::deque<PendingOut> pending;
-  /// Buffers reclaimed from a failed-over target, queued for retransmission
-  /// ahead of fresh output (oldest first, the simulator's requeue order).
-  /// Guarded by wmu — failovers run on recv / monitor threads.
-  std::deque<PendingOut> retry;
-
-  exec::InstanceMetrics m;
-  std::vector<StreamDelta> stream_local;
-  sim::Rng rng;
-  std::unique_ptr<ContextImpl> ctx;
-};
-
-/// FilterContext bound to one local Instance — mirrors exec::Engine's
-/// context field for field so filters observe identical inputs (instance
-/// indices, RNG streams, buffer sizes) in-process and across processes.
-struct DistributedEngine::ContextImpl final : core::FilterContext {
-  Instance* inst = nullptr;
-  Clock::time_point epoch;
-
-  [[nodiscard]] int instance_index() const override { return inst->index; }
-  [[nodiscard]] int num_instances() const override {
-    return inst->eng->pl().total_copies(inst->filter);
-  }
-  [[nodiscard]] int copy_in_host() const override { return inst->copy_in_host; }
-  [[nodiscard]] int copies_on_host() const override {
-    return static_cast<int>(inst->cset->copies.size());
-  }
-  [[nodiscard]] int host() const override { return inst->cset->host; }
-  [[nodiscard]] const std::string& host_class() const override {
-    return inst->eng->host_class_of(inst->cset->host);
-  }
-  [[nodiscard]] int uow_index() const override { return inst->eng->uow_index_; }
-  [[nodiscard]] sim::SimTime now() const override {
-    return seconds_since(epoch);
-  }
-  [[nodiscard]] sim::Rng& rng() override { return inst->rng; }
-
-  void charge(double ops) override {
-    if (ops < 0.0) throw std::invalid_argument("charge: negative ops");
-    inst->m.work_ops += ops;
-  }
-
-  void read_disk(int local_disk, std::uint64_t bytes) override {
-    if (!inst->eng->graph_.filter(inst->filter).is_source) {
-      throw std::logic_error("read_disk is only available to source filters");
-    }
-    if (local_disk < 0) {
-      throw std::out_of_range("read_disk: no such local disk");
-    }
-    inst->m.disk_bytes += bytes;
-  }
-
-  void note_io_wait(double seconds) override {
-    inst->m.io_wait_time += seconds;
-  }
-
-  void write(int port, core::Buffer buf) override {
-    if (inst->in_init) {
-      throw std::logic_error("write() is not allowed in init()");
-    }
-    if (port < 0 || port >= num_output_ports()) {
-      throw std::out_of_range("write: bad output port");
-    }
-    inst->pending.push_back(PendingOut{port, std::move(buf)});
-  }
-
-  [[nodiscard]] core::Buffer make_buffer(int port) const override {
-    // Arena-backed: the slot this lease hands out is the SAME storage the
-    // frame will point its payload iovec at — the zero-copy contract.
-    return core::BufferArena::global().make(buffer_bytes(port));
-  }
-
-  [[nodiscard]] int num_input_ports() const override {
-    return inst->eng->graph_.filter(inst->filter).num_input_ports;
-  }
-  [[nodiscard]] int num_output_ports() const override {
-    return inst->eng->graph_.filter(inst->filter).num_output_ports;
-  }
-  [[nodiscard]] std::size_t buffer_bytes(int out_port) const override {
-    if (out_port < 0 || out_port >= num_output_ports()) {
-      throw std::out_of_range("buffer_bytes: bad output port");
-    }
-    const int stream =
-        inst->writers[static_cast<std::size_t>(out_port)].stream->id;
-    return inst->eng->buffer_bytes_[static_cast<std::size_t>(stream)];
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Construction
 // ---------------------------------------------------------------------------
@@ -235,9 +49,7 @@ DistributedEngine::DistributedEngine(const core::Graph& graph,
                                      DistributedOptions opts, exec::HostInfo hosts)
     : graph_(graph),
       placement_(placement),
-      config_(std::move(config)),
       opts_(opts),
-      hosts_(std::move(hosts)),
       rank_(rank),
       num_ranks_(num_ranks),
       peer_sockets_(std::move(peers)),
@@ -245,13 +57,11 @@ DistributedEngine::DistributedEngine(const core::Graph& graph,
       rank_dead_(static_cast<std::size_t>(num_ranks)),
       last_heard_ns_(static_cast<std::size_t>(num_ranks)),
       hosts_counted_(static_cast<std::size_t>(num_ranks), 0),
-      base_rng_(config_.rng_seed) {
-  graph_.validate();
-  core::validate(config_);
+      core_(graph, placement, std::move(config), std::move(hosts), this) {
   if (num_ranks_ <= 0 || rank_ < 0 || rank_ >= num_ranks_) {
     throw std::invalid_argument("net::DistributedEngine: bad rank/num_ranks");
   }
-  if (config_.detection != core::FailureDetection::kNone && num_ranks_ > 64) {
+  if (fault_tolerant() && num_ranks_ > 64) {
     throw std::invalid_argument(
         "net::DistributedEngine: fault tolerance supports at most 64 ranks "
         "(the DONE frame's dead-rank bitmask is 64 bits)");
@@ -268,24 +78,7 @@ DistributedEngine::DistributedEngine(const core::Graph& graph,
                                   std::to_string(r));
     }
   }
-  // Buffer-size negotiation identical to the simulator and exec::Engine —
-  // a precondition for bit-identical cross-engine output.
-  buffer_bytes_.resize(static_cast<std::size_t>(graph_.num_streams()));
-  for (int s = 0; s < graph_.num_streams(); ++s) {
-    const auto& spec = graph_.stream(s);
-    buffer_bytes_[static_cast<std::size_t>(s)] =
-        std::clamp(config_.default_buffer_bytes, spec.min_buffer_bytes,
-                   spec.max_buffer_bytes);
-  }
   for (int f = 0; f < graph_.num_filters(); ++f) {
-    if (placement_.entries(f).empty()) {
-      throw std::invalid_argument("net::DistributedEngine: filter '" +
-                                  graph_.filter(f).name + "' has no placement");
-    }
-    if (!graph_.filter(f).is_source && graph_.in_streams(f).empty()) {
-      throw std::invalid_argument("net::DistributedEngine: non-source filter '" +
-                                  graph_.filter(f).name + "' has no inputs");
-    }
     for (const auto& e : placement_.entries(f)) {
       if (e.host < 0 || e.host >= num_ranks_) {
         throw std::invalid_argument(
@@ -295,39 +88,16 @@ DistributedEngine::DistributedEngine(const core::Graph& graph,
       }
     }
   }
-  metrics_.streams.resize(static_cast<std::size_t>(graph_.num_streams()));
-  for (int s = 0; s < graph_.num_streams(); ++s) {
-    metrics_.streams[static_cast<std::size_t>(s)].name = graph_.stream(s).name;
-  }
-  if (config_.memory_budget_bytes > 0) {
-    core::GovernorConfig gc;
-    gc.budget_bytes = config_.memory_budget_bytes;
-    gc.spill_dir = config_.spill_dir;
-    governor_ = std::make_unique<core::MemoryGovernor>(gc);
-    governor_->govern(core::BufferArena::global());
-  }
-}
-
-core::GovernorStats DistributedEngine::governor_stats() const {
-  return governor_ ? governor_->stats() : core::GovernorStats{};
 }
 
 DistributedEngine::~DistributedEngine() { shutdown(); }
 
 void DistributedEngine::set_obs(obs::TraceSession* session) {
   obs_ = session;
+  core_.set_obs(session);
   net_track_ =
       session != nullptr ? &session->track("net:r" + std::to_string(rank_))
                          : nullptr;
-}
-
-const std::string& DistributedEngine::host_class_of(int host) const {
-  static const std::string kNative = "native";
-  if (host >= 0 &&
-      static_cast<std::size_t>(host) < hosts_.host_classes.size()) {
-    return hosts_.host_classes[static_cast<std::size_t>(host)];
-  }
-  return kNative;
 }
 
 void DistributedEngine::start_links() {
@@ -405,200 +175,20 @@ void DistributedEngine::monitor_main() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// UOW setup / teardown
-// ---------------------------------------------------------------------------
-
-void DistributedEngine::build_uow() {
-  // Copy sets for EVERY placement entry, local and remote, in the global
-  // creation order all engines share — a stream's target index must mean the
-  // same copy set on every rank (and inside every BufferRoute on the wire).
-  std::vector<std::vector<CopySetRt*>> csets_by_filter(
-      static_cast<std::size_t>(graph_.num_filters()));
-  for (int f = 0; f < graph_.num_filters(); ++f) {
-    const int in_ports = graph_.filter(f).num_input_ports;
-    // Channels must absorb everything the credit windows allow outstanding
-    // without ever blocking the peer-link recv threads: per input port, up
-    // to `window` buffers per producer copy can be un-dequeued, so capacity
-    // = max producers x window makes recv-side pushes non-blocking by
-    // construction (the deadlock-freedom invariant of the credit loop).
-    std::size_t max_producers = 1;
-    for (int s : graph_.in_streams(f)) {
-      max_producers = std::max(
-          max_producers, static_cast<std::size_t>(pl().total_copies(
-                             graph_.stream(s).from_filter)));
-    }
-    const std::size_t capacity =
-        max_producers * static_cast<std::size_t>(config_.window);
-    int first_global = 0;
-    for (const auto& e : pl().entries(f)) {
-      auto cset = std::make_unique<CopySetRt>();
-      cset->filter = f;
-      cset->host = e.host;
-      cset->copies_n = e.copies;
-      cset->first_global = first_global;
-      first_global += e.copies;
-      if (e.host == rank_) {
-        if (governor_ != nullptr && in_ports > 0) {
-          // Governed regime: the memory floor shrinks from producers x
-          // window to `window` per port. Recv threads STILL never block —
-          // a governed push spills on elastic denial instead of waiting —
-          // so the credit loop's deadlock-freedom is preserved with a far
-          // smaller resident footprint. The wire protocol (credit windows
-          // of `window` per producer) is unchanged.
-          cset->channel.init(in_ports,
-                             static_cast<std::size_t>(config_.window),
-                             &aborted_);
-          std::size_t slot_bytes = 1;
-          for (int s : graph_.in_streams(f)) {
-            slot_bytes = std::max(
-                slot_bytes, buffer_bytes_[static_cast<std::size_t>(s)]);
-          }
-          cset->spill = std::make_unique<io::SpillFile>(
-              std::filesystem::path(config_.spill_dir));
-          io::SpillFile* file = cset->spill.get();
-          exec::SpillOps<Delivery> ops;
-          ops.size = [](const Delivery& d) {
-            return std::max<std::size_t>(d.buf.capacity(), 1);
-          };
-          ops.evict = [file](Delivery& d) {
-            const std::uint64_t token = file->append(d.buf.bytes());
-            core::Buffer shell =
-                core::Buffer::adopt(nullptr, d.buf.capacity());
-            shell.set_route_key(d.buf.route_key());
-            d.buf = std::move(shell);  // route / origin stay in the Delivery
-            return token;
-          };
-          ops.restore = [file](Delivery& d, std::uint64_t token) {
-            auto slot = core::BufferArena::global().lease(d.buf.capacity());
-            file->read(token, *slot);  // CRC32C-verified
-            core::Buffer full =
-                core::Buffer::adopt(std::move(slot), d.buf.capacity());
-            full.set_route_key(d.buf.route_key());
-            d.buf = std::move(full);
-          };
-          cset->channel.bind_governor(governor_.get(), slot_bytes,
-                                      std::move(ops));
-        } else {
-          cset->channel.init(in_ports, capacity, &aborted_);
-        }
-      }
-      csets_by_filter[static_cast<std::size_t>(f)].push_back(cset.get());
-      copysets_.push_back(std::move(cset));
-    }
-  }
-
-  stream_rt_.clear();
-  for (int s = 0; s < graph_.num_streams(); ++s) {
-    auto rt = std::make_unique<StreamRt>();
-    rt->spec = &graph_.stream(s);
-    rt->id = s;
-    const int consumer = rt->spec->to_filter;
-    const auto& consumer_entries = pl().entries(consumer);
-    const auto& consumer_sets =
-        csets_by_filter[static_cast<std::size_t>(consumer)];
-    for (std::size_t i = 0; i < consumer_sets.size(); ++i) {
-      rt->targets.push_back(consumer_sets[i]);
-      for (int c = 0; c < consumer_entries[i].copies; ++c) {
-        rt->wrr_order.push_back(static_cast<int>(i));
-      }
-    }
-    stream_rt_.push_back(std::move(rt));
-  }
-
-  // Instances. The RNG is split for EVERY copy in the global order — also
-  // the remote ones we never construct — so each local instance draws the
-  // exact stream it would get in exec::Engine (split() mutates base_rng_).
-  local_by_filter_.assign(static_cast<std::size_t>(graph_.num_filters()), {});
-  for (int f = 0; f < graph_.num_filters(); ++f) {
-    const auto& entries = pl().entries(f);
-    const auto& sets = csets_by_filter[static_cast<std::size_t>(f)];
-    const auto outs = graph_.out_streams(f);
-    local_by_filter_[static_cast<std::size_t>(f)].assign(
-        static_cast<std::size_t>(pl().total_copies(f)), nullptr);
-    int global = 0;
-    for (std::size_t p = 0; p < entries.size(); ++p) {
-      for (int c = 0; c < entries[p].copies; ++c) {
-        const int index = global++;
-        sim::Rng rng = base_rng_.split(
-            static_cast<std::uint64_t>(f) * 1000003ULL +
-            static_cast<std::uint64_t>(index) * 257ULL +
-            static_cast<std::uint64_t>(uow_index_));
-        if (entries[p].host != rank_) continue;
-        auto inst = std::make_unique<Instance>();
-        inst->eng = this;
-        inst->filter = f;
-        inst->index = index;
-        inst->copy_in_host = c;
-        inst->cset = sets[p];
-        inst->user = graph_.filter(f).factory();
-        if (!inst->user) {
-          throw std::runtime_error("net::DistributedEngine: factory for '" +
-                                   graph_.filter(f).name + "' returned null");
-        }
-        if (graph_.filter(f).is_source &&
-            dynamic_cast<core::SourceFilter*>(inst->user.get()) == nullptr) {
-          throw std::runtime_error("net::DistributedEngine: source filter '" +
-                                   graph_.filter(f).name +
-                                   "' does not derive from SourceFilter");
-        }
-        for (int out : outs) {
-          Writer w;
-          w.stream = stream_rt_[static_cast<std::size_t>(out)].get();
-          w.reset(w.stream->targets.size());
-          w.retained.assign(w.stream->targets.size(), {});
-          inst->writers.push_back(std::move(w));
-        }
-        inst->m.filter = f;
-        inst->m.instance = index;
-        inst->m.host = entries[p].host;
-        inst->m.host_class = host_class_of(entries[p].host);
-        inst->stream_local.resize(
-            static_cast<std::size_t>(graph_.num_streams()));
-        inst->rng = rng;
-        inst->ctx = std::make_unique<ContextImpl>();
-        inst->ctx->inst = inst.get();
-        sets[p]->copies.push_back(inst.get());
-        local_by_filter_[static_cast<std::size_t>(f)]
-                        [static_cast<std::size_t>(index)] = inst.get();
-        instances_.push_back(std::move(inst));
-      }
-    }
-  }
-
-  // EOW bookkeeping for local consumer sets: one marker per producer copy of
-  // the stream, whichever rank that producer runs on (remote ones arrive as
-  // EOW frames).
-  for (int s = 0; s < graph_.num_streams(); ++s) {
-    const auto& spec = graph_.stream(s);
-    const int producers = pl().total_copies(spec.from_filter);
-    for (CopySetRt* t : stream_rt_[static_cast<std::size_t>(s)]->targets) {
-      if (t->host != rank_) continue;
-      t->channel.expect_eow(spec.to_port, producers);
-      if (fault_tolerant()) {
-        t->eow_seen[s].assign(static_cast<std::size_t>(producers), 0);
-      }
-    }
-  }
-
-  // Survivor bookkeeping for this UOW (recomputed every UOW, exactly like
-  // the simulator: dead copy sets are re-declared at every admission).
-  live_copies_.assign(static_cast<std::size_t>(graph_.num_filters()), 0);
-  for (int f = 0; f < graph_.num_filters(); ++f) {
-    live_copies_[static_cast<std::size_t>(f)] = pl().total_copies(f);
-  }
-  dead_filters_uow_.clear();
-
-  // Bound each link's outbox at what the credit windows allow outstanding
-  // from this rank — per local producer copy, `window` un-credited buffers
-  // per target set — plus headroom so control frames (which bypass the
-  // bound anyway) never contend. A wedged peer then back-pressures
-  // producers at the outbox instead of growing it without bound.
+void DistributedEngine::bound_outboxes() {
+  // Per local producer copy, `window` un-credited buffers per target copy
+  // set — plus headroom so control frames (which bypass the bound anyway)
+  // never contend. A wedged peer then back-pressures producers at the
+  // outbox instead of growing it without bound.
   std::size_t data_bound = 0;
-  for (const auto& inst : instances_) {
-    for (const Writer& w : inst->writers) {
-      data_bound += w.stream->targets.size() *
-                    static_cast<std::size_t>(config_.window);
+  for (int f = 0; f < graph_.num_filters(); ++f) {
+    std::size_t local = 0;
+    for (const auto& e : pl().entries(f)) {
+      if (e.host == rank_) local += static_cast<std::size_t>(e.copies);
+    }
+    for (int s : graph_.out_streams(f)) {
+      data_bound += local * pl().entries(graph_.stream(s).to_filter).size() *
+                    static_cast<std::size_t>(core_.config().window);
     }
   }
   constexpr std::size_t kControlHeadroom = 64;
@@ -608,23 +198,50 @@ void DistributedEngine::build_uow() {
   }
 }
 
-void DistributedEngine::teardown_uow() {
-  for (auto& inst : instances_) {
-    metrics_.instances.push_back(inst->m);
-    metrics_.acks_total += inst->m.acks_sent;
-    metrics_.ack_bytes_total += inst->m.acks_sent * config_.ack_bytes;
-    for (std::size_t s = 0; s < inst->stream_local.size(); ++s) {
-      const StreamDelta& d = inst->stream_local[s];
-      auto& sm = metrics_.streams[s];
-      sm.buffers += d.buffers;
-      sm.payload_bytes += d.payload_bytes;
-      sm.message_bytes += d.message_bytes;
-    }
+// ---------------------------------------------------------------------------
+// exec::Transport (engine worker threads)
+// ---------------------------------------------------------------------------
+
+void DistributedEngine::send_data(int host, const core::BufferRoute& route,
+                                  core::Buffer buf) {
+  // Zero-copy: the frame shares the producer's buffer storage; the send
+  // pump's scatter-gather write reads it in place.
+  const std::uint64_t nbytes = buf.size();
+  links_[static_cast<std::size_t>(host)]->send(
+      make_frame(FrameType::kData, route, std::move(buf)));
+  if (fault_cell_ != nullptr) {
+    fault_cell_->advance(FaultTrigger::kFrames, 1);
+    fault_cell_->advance(FaultTrigger::kBytes, nbytes);
   }
-  instances_.clear();
-  copysets_.clear();
-  stream_rt_.clear();
-  local_by_filter_.clear();
+}
+
+void DistributedEngine::send_eow(int host, const core::BufferRoute& route) {
+  // Enqueued on the same per-peer FIFO as this copy's DATA frames, so
+  // markers cannot overtake data on the wire.
+  links_[static_cast<std::size_t>(host)]->send(
+      make_frame(FrameType::kEow, route));
+}
+
+void DistributedEngine::send_settle(int host, const core::BufferRoute& route,
+                                    bool ack) {
+  PeerLink* link = links_[static_cast<std::size_t>(host)].get();
+  if (link == nullptr) return;
+  link->send(make_frame(FrameType::kCredit, route));
+  if (ack) link->send(make_frame(FrameType::kAck, route));
+}
+
+void DistributedEngine::window_stalled(int stream, double seconds) {
+  const auto us = static_cast<std::int64_t>(seconds * 1e6);
+  net_metrics_.record_credit_stall(static_cast<std::uint64_t>(us));
+  if (net_track_ != nullptr && obs_->enabled()) {
+    net_track_->instant(obs_->now(), "credit.stall", stream, us);
+  }
+}
+
+void DistributedEngine::worker_failed(const std::string& reason,
+                                      bool transport_error) {
+  abort_run(transport_error ? RunStatus::kTransportError : RunStatus::kAborted,
+            reason, /*broadcast=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -646,10 +263,9 @@ void DistributedEngine::on_frame(int peer, const Frame& f) {
       const int fs = static_cast<int>(f.header.route.stream);
       if (f.type() == FrameType::kAck && fs >= 0 &&
           fs < graph_.num_streams() &&
-          core::effective_policy(config_.policy, graph_.stream(fs)) ==
+          core::effective_policy(core_.config().policy, graph_.stream(fs)) ==
               core::Policy::kDemandDriven) {
-        std::lock_guard<std::mutex> flk(faults_mu_);
-        faults_.buffers_duplicated++;
+        core_.count_fault(&core::FaultMetrics::buffers_duplicated);
       }
       return;
     }
@@ -665,7 +281,7 @@ void DistributedEngine::on_frame(int peer, const Frame& f) {
       {
         std::lock_guard<std::mutex> lk(state_mu_);
         const std::uint32_t uow = f.header.route.uow;
-        const auto current = static_cast<std::uint32_t>(uow_index_);
+        const auto current = current_uow();
         if (uow > current) {
           pending_aborts_.insert(uow);
         } else if (uow == current) {
@@ -715,20 +331,20 @@ void DistributedEngine::on_frame(int peer, const Frame& f) {
       {
         std::lock_guard<std::mutex> lk(state_mu_);
         const std::uint32_t uow = f.header.route.uow;
-        const auto current = static_cast<std::uint32_t>(uow_index_);
+        const auto current = current_uow();
         if (!built_ || uow != current) {
           // A fast peer can run at most one UOW ahead (the DONE barrier
-          // separates consecutive units): stash the frame, replayed when
-          // that UOW builds. Frames for a torn-down UOW (abort races) park
-          // here harmlessly too. Anything further ahead violates the
-          // protocol — escalate instead of buffering it without bound.
+          // separates consecutive units): stash the frame with its sender,
+          // replayed when that UOW builds. Frames for a torn-down UOW (abort
+          // races) park here harmlessly too. Anything further ahead violates
+          // the protocol — escalate instead of buffering it without bound.
           if (uow > current + 1) {
             err = "frame for a UOW more than one ahead";
           } else if (uow >= current) {
-            pending_.push_back(f);
+            pending_.emplace_back(peer, f);
           }
         } else {
-          err = deliver_locked(f, peer);
+          err = deliver_locked(peer, f);
         }
       }
       if (err != nullptr) {
@@ -747,109 +363,19 @@ void DistributedEngine::on_frame(int peer, const Frame& f) {
   }
 }
 
-const char* DistributedEngine::deliver_locked(const Frame& f, int origin) {
+const char* DistributedEngine::deliver_locked(int peer, const Frame& f) {
   const core::BufferRoute& route = f.header.route;
-  if (route.stream < 0 || route.stream >= graph_.num_streams()) {
-    return "frame with bad stream id";
-  }
-  StreamRt& srt = *stream_rt_[static_cast<std::size_t>(route.stream)];
-  const core::StreamSpec& spec = *srt.spec;
-  if (route.target < 0 ||
-      route.target >= static_cast<int>(srt.targets.size())) {
-    return "frame with bad target index";
-  }
-
   switch (f.type()) {
-    case FrameType::kData: {
-      CopySetRt* t = srt.targets[static_cast<std::size_t>(route.target)];
-      if (t->host != rank_) return "DATA addressed to a remote copy set";
-      Delivery d;
-      if (opts_.copy_payloads) {
-        // Legacy path: the old recv side rebuilt a Buffer from the frame's
-        // payload vector; reproduce (and book) that materialization.
-        auto& arena = core::BufferArena::global();
-        d.buf = arena.make(f.payload.size());
-        d.buf.append(f.payload.bytes());
-        arena.note_payload_copy(f.payload.size());
-      } else {
-        // The frame's payload already sits in arena-leased storage (the
-        // recv path read it there); adopt it as the delivered buffer.
-        d.buf = f.payload;
-      }
-      d.route = route;
-      d.origin = origin;
-      try {
-        // Never blocks: capacity covers the credit windows (see build_uow).
-        t->channel.push(spec.to_port, std::move(d));
-      } catch (const exec::Aborted&) {
-        // UOW aborted under us; the buffer is moot.
-      }
-      return nullptr;
-    }
-    case FrameType::kEow: {
-      CopySetRt* t = srt.targets[static_cast<std::size_t>(route.target)];
-      if (t->host != rank_) return "EOW addressed to a remote copy set";
-      if (fault_tolerant()) {
-        // Exactly-once against the death settlement: a failover may already
-        // have settled this producer's marker (or the frame raced death).
-        auto it = t->eow_seen.find(route.stream);
-        if (it == t->eow_seen.end()) return "EOW for an untracked stream";
-        if (route.producer < 0 ||
-            route.producer >= static_cast<int>(it->second.size())) {
-          return "EOW with a bad producer index";
-        }
-        auto& seen = it->second[static_cast<std::size_t>(route.producer)];
-        if (seen != 0) return nullptr;
-        seen = 1;
-      }
-      t->channel.producer_eow(spec.to_port);
-      return nullptr;
-    }
+    case FrameType::kData:
+      // The frame's payload already sits in arena-leased storage (the recv
+      // path read it there); the delivered buffer adopts it.
+      return core_.deliver(route, f.payload, peer);
+    case FrameType::kEow:
+      return core_.eow(route);
     case FrameType::kCredit:
-    case FrameType::kAck: {
-      auto& by_global = local_by_filter_[static_cast<std::size_t>(spec.from_filter)];
-      if (route.producer < 0 ||
-          route.producer >= static_cast<int>(by_global.size()) ||
-          by_global[static_cast<std::size_t>(route.producer)] == nullptr) {
-        return "credit/ack for a producer not on this rank";
-      }
-      Instance* p = by_global[static_cast<std::size_t>(route.producer)];
-      CopySetRt* t = srt.targets[static_cast<std::size_t>(route.target)];
-      const bool ft = fault_tolerant();
-      bool dup = false;
-      {
-        std::lock_guard<std::mutex> wlk(p->wmu);
-        Writer& w = p->writers[static_cast<std::size_t>(spec.from_port)];
-        auto& ret = w.retained[static_cast<std::size_t>(route.target)];
-        if (f.type() == FrameType::kCredit) {
-          if (ft && t->down.load(std::memory_order_relaxed)) {
-            // Window release racing the failover: the reclaim already
-            // zeroed this target's counters; nothing to settle.
-          } else {
-            w.on_dequeue(route.target);
-            if (ft &&
-                core::effective_policy(config_.policy, spec) !=
-                    core::Policy::kDemandDriven &&
-                !ret.empty()) {
-              ret.pop_front();  // RR/WRR: consumer took responsibility
-            }
-          }
-        } else {
-          if (ft && (t->down.load(std::memory_order_relaxed) || ret.empty())) {
-            dup = true;  // ack raced the failover; buffer already reclaimed
-          } else {
-            w.on_ack(route.target);
-            if (ft) ret.pop_front();  // DD: the ack is the release signal
-          }
-        }
-      }
-      p->wcv.notify_all();
-      if (dup) {
-        std::lock_guard<std::mutex> flk(faults_mu_);
-        faults_.buffers_duplicated++;
-      }
-      return nullptr;
-    }
+      return core_.settle(route, /*ack=*/false);
+    case FrameType::kAck:
+      return core_.settle(route, /*ack=*/true);
     default:
       return "unroutable frame type";
   }
@@ -864,18 +390,16 @@ void DistributedEngine::on_wire_error(int peer, WireError err,
     // first (post-final-UOW teardown) marks it dead harmlessly: lockstep
     // means no further UOW will need it, and its death is only charged to
     // the fault ledger if another UOW actually runs.
-    (void)err;
-    (void)detail;
     on_peer_dead(peer);
     return;
   }
-  if (aborted_.load(std::memory_order_relaxed)) return;  // already unwinding
   {
     std::lock_guard<std::mutex> lk(state_mu_);
+    if (status_ != RunStatus::kComplete) return;  // already unwinding
     if (err == WireError::kClosed &&
         (!running_ ||
          peer_done_next_[static_cast<std::size_t>(peer)] >
-             static_cast<std::uint32_t>(uow_index_))) {
+             current_uow())) {
       // Orderly close: either we are between/after UOWs, or the peer has
       // already sent its DONE for the current UOW (its workers finished, so
       // every frame it will ever send has been received — TCP delivers the
@@ -885,11 +409,6 @@ void DistributedEngine::on_wire_error(int peer, WireError err,
   }
   abort_run(RunStatus::kTransportError, "wire error: " + detail,
             /*broadcast=*/true);
-}
-
-core::FaultMetrics DistributedEngine::fault_metrics() const {
-  std::lock_guard<std::mutex> lk(faults_mu_);
-  return faults_;
 }
 
 void DistributedEngine::on_peer_dead(int peer) {
@@ -904,97 +423,32 @@ void DistributedEngine::on_peer_dead(int peer) {
     // Straddle rule: if the peer already sent DONE for the current UOW,
     // every frame it will ever send for it has been received (TCP delivers
     // the close after them) — this UOW is whole. Only membership changes;
-    // the next UOW's admission pre-pass books the failover, exactly like
-    // the simulator failing a host between run_uow calls.
+    // the next UOW's admission books the failover, exactly like the
+    // simulator failing a host between run_uow calls.
     const bool in_current =
         built_ && running_ &&
         peer_done_next_[static_cast<std::size_t>(peer)] <=
-            static_cast<std::uint32_t>(uow_index_);
+            current_uow();
     if (in_current) {
       hosts_counted_[static_cast<std::size_t>(peer)] = 1;
-      {
-        std::lock_guard<std::mutex> flk(faults_mu_);
-        faults_.hosts_failed++;
-      }
+      core_.count_fault(&core::FaultMetrics::hosts_failed);
       hosts_failed_uow_.fetch_add(1, std::memory_order_relaxed);
-      for (auto& cs : copysets_) {
-        if (cs->host != peer || cs->down.load(std::memory_order_relaxed)) {
-          continue;
-        }
-        cs->down.store(true, std::memory_order_relaxed);
-        fail_copyset_locked(*cs);
-      }
+      core_.fail_host(peer);
     }
   }
   state_cv_.notify_all();  // barrier predicate: dead peers need no DONE
 }
 
-void DistributedEngine::fail_copyset_locked(CopySetRt& cset) {
-  {
-    std::lock_guard<std::mutex> flk(faults_mu_);
-    faults_.failovers++;
-  }
-  // Survivor census. A filter whose every copy is gone turns the UOW into
-  // partial loss; list order matches the simulator's (copy sets in global
-  // creation order, filter appended when its last copy dies).
-  int& live = live_copies_[static_cast<std::size_t>(cset.filter)];
-  live -= cset.copies_n;
-  if (live <= 0) dead_filters_uow_.push_back(cset.filter);
-
-  // Settle the dead copies' end-of-work obligations toward local consumer
-  // sets: each was owed one marker per producer copy that has not already
-  // delivered it (the eow_seen flags make frame vs. settlement exactly-once).
-  for (int s : graph_.out_streams(cset.filter)) {
-    StreamRt& srt = *stream_rt_[static_cast<std::size_t>(s)];
-    const int in_port = srt.spec->to_port;
-    for (CopySetRt* t : srt.targets) {
-      if (t->host != rank_) continue;
-      auto it = t->eow_seen.find(s);
-      if (it == t->eow_seen.end()) continue;
-      for (int g = cset.first_global; g < cset.first_global + cset.copies_n;
-           ++g) {
-        auto& seen = it->second[static_cast<std::size_t>(g)];
-        if (seen != 0) continue;
-        seen = 1;
-        t->channel.producer_eow(in_port);
-      }
-    }
-  }
-
-  // Reclaim from every local producer that was feeding the dead set:
-  // buffers sent but never dequeued are lost copies; everything retained is
-  // requeued for retransmission (oldest first, ahead of fresh output), so
-  // the payload still reaches a live consumer at least once.
-  for (auto& inst : instances_) {
-    for (std::size_t p = 0; p < inst->writers.size(); ++p) {
-      Writer& w = inst->writers[p];
-      const auto& targets = w.stream->targets;
-      for (std::size_t t = 0; t < targets.size(); ++t) {
-        if (targets[t] != &cset) continue;
-        std::uint64_t lost = 0;
-        std::uint64_t rexmit = 0;
-        {
-          std::lock_guard<std::mutex> wlk(inst->wmu);
-          lost = static_cast<std::uint64_t>(w.in_flight[t]);
-          auto& ret = w.retained[t];
-          rexmit = ret.size();
-          for (auto it = ret.rbegin(); it != ret.rend(); ++it) {
-            inst->retry.push_front(
-                PendingOut{static_cast<int>(p), std::move(*it)});
-          }
-          ret.clear();
-          w.in_flight[t] = 0;
-          w.unacked[t] = 0;
-          inst->wcv.notify_all();  // unblocks window stalls on the dead set
-        }
-        if (lost + rexmit > 0) {
-          std::lock_guard<std::mutex> flk(faults_mu_);
-          faults_.buffers_lost += lost;
-          faults_.retransmits += rexmit;
-        }
-      }
-    }
-  }
+bool DistributedEngine::charge_boundary_death_locked(int peer) {
+  auto& counted = hosts_counted_[static_cast<std::size_t>(peer)];
+  if (counted != 0) return false;
+  // Charged to the cumulative ledger now that a UOW actually runs without
+  // the rank. Kept out of hosts_failed_uow_: the simulator's on_host_failed
+  // is gated on in_uow_, so boundary deaths perturb a UOW only through their
+  // admission failovers.
+  counted = 1;
+  core_.count_fault(&core::FaultMetrics::hosts_failed);
+  return true;
 }
 
 void DistributedEngine::abort_run(RunStatus status, const std::string& reason,
@@ -1012,17 +466,9 @@ void DistributedEngine::abort_run(RunStatus status, const std::string& reason,
     // gone. Poison immediately so a later run_uow() can't reset the status
     // and stall on the dead link until the barrier timeout.
     if (status == RunStatus::kTransportError) poisoned_ = true;
-    aborted_.store(true, std::memory_order_relaxed);
-    uow = static_cast<std::uint32_t>(uow_index_);
-    if (built_) {
-      // Wake everything under the respective mutexes so no blocked thread
-      // misses the flag between its predicate check and its wait.
-      for (auto& cs : copysets_) cs->channel.notify_abort();
-      for (auto& inst : instances_) {
-        std::lock_guard<std::mutex> wlk(inst->wmu);
-        inst->wcv.notify_all();
-      }
-    }
+    uow = current_uow();
+    // Not yet built: run_uow aborts the executor once it publishes the UOW.
+    if (built_) core_.abort();
   }
   state_cv_.notify_all();
   if (first && broadcast) {
@@ -1041,83 +487,58 @@ void DistributedEngine::abort_run(RunStatus status, const std::string& reason,
 UowResult DistributedEngine::run_uow() {
   // Process-fault harness hook: a planned kill/freeze pinned to this UOW
   // index lands here, before any of this UOW's state exists.
-  if (fault_cell_ != nullptr) fault_cell_->at_uow(uow_index_);
+  if (fault_cell_ != nullptr) fault_cell_->at_uow(core_.uow_index());
 
-  bool abort_now = false;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     if (poisoned_) {
-      return UowResult{status_, 0.0,
-                       error_.empty() ? "engine poisoned by earlier failure"
-                                      : error_};
+      UowResult r;
+      r.status = status_;
+      r.error = error_.empty() ? "engine poisoned by earlier failure" : error_;
+      return r;
     }
     status_ = RunStatus::kComplete;
     error_.clear();
     // Honor (and prune) aborts that arrived for UOWs we had not started.
-    const auto current = static_cast<std::uint32_t>(uow_index_);
-    for (auto it = pending_aborts_.begin(); it != pending_aborts_.end();) {
-      if (*it < current) {
-        it = pending_aborts_.erase(it);
-      } else {
-        break;
-      }
+    const auto current = current_uow();
+    while (!pending_aborts_.empty() && *pending_aborts_.begin() < current) {
+      pending_aborts_.erase(pending_aborts_.begin());
     }
     if (!pending_aborts_.empty() && *pending_aborts_.begin() == current) {
+      // Every rank aborts this UOW (the originator broadcast it); skipping
+      // the run keeps lockstep — nobody sends frames or DONE for it.
       pending_aborts_.erase(pending_aborts_.begin());
-      abort_now = true;
-      status_ = RunStatus::kAborted;
-      error_ = "aborted by a peer before start (UOW " +
-               std::to_string(current) + ")";
-      ++uow_index_;
+      UowResult r;
+      r.status = status_ = RunStatus::kAborted;
+      r.error = error_ = "aborted by a peer before start (UOW " +
+                         std::to_string(current) + ")";
+      core_.end_uow(0.0);  // nothing was built; only the index advances
+      return r;
     }
   }
-  if (abort_now) {
-    // Every rank aborts this UOW (the originator broadcast it); skipping
-    // the run keeps lockstep — nobody sends frames or DONE for it.
-    UowResult r;
-    r.status = RunStatus::kAborted;
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      r.error = error_;
-    }
-    return r;
-  }
-  aborted_.store(false, std::memory_order_relaxed);
   if (links_.empty() && num_ranks_ > 1) start_links();
 
   // Fault-ledger snapshot: the outcome reports this UOW's deltas, with the
-  // admission pre-pass below inside the window (the simulator counts
-  // admission failovers in the UOW they gate, too).
+  // admission failovers inside the window (the simulator counts admission
+  // failovers in the UOW they gate, too).
+  const bool ft = fault_tolerant();
   core::FaultMetrics faults_before;
-  if (fault_tolerant()) {
-    {
-      std::lock_guard<std::mutex> flk(faults_mu_);
-      faults_before = faults_;
-    }
+  if (ft) {
+    faults_before = core_.fault_metrics();
     hosts_failed_uow_.store(0, std::memory_order_relaxed);
     std::vector<char> dead(static_cast<std::size_t>(num_ranks_), 0);
     bool any_dead = false;
     bool newly_dead = false;
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      for (int r = 0; r < num_ranks_; ++r) {
-        if (rank_dead_[static_cast<std::size_t>(r)].load(
-                std::memory_order_relaxed) == 0) {
-          continue;
-        }
-        dead[static_cast<std::size_t>(r)] = 1;
-        any_dead = true;
-        if (hosts_counted_[static_cast<std::size_t>(r)] == 0) {
-          // Boundary death, charged to the cumulative ledger now that a UOW
-          // actually runs without the rank. Kept out of hosts_failed_uow_:
-          // the simulator's on_host_failed is gated on in_uow_, so boundary
-          // deaths perturb a UOW only through their admission failovers.
-          hosts_counted_[static_cast<std::size_t>(r)] = 1;
-          newly_dead = true;
-          std::lock_guard<std::mutex> flk(faults_mu_);
-          faults_.hosts_failed++;
-        }
+    std::lock_guard<std::mutex> lk(state_mu_);
+    for (int r = 0; r < num_ranks_; ++r) {
+      if (rank_dead_[static_cast<std::size_t>(r)].load(
+              std::memory_order_relaxed) == 0) {
+        continue;
       }
+      dead[static_cast<std::size_t>(r)] = 1;
+      any_dead = true;
+      if (charge_boundary_death_locked(r)) newly_dead = true;
+      core_.fail_host(r);  // admission failover at begin_uow
     }
     if (opts_.replace_dead && any_dead && (newly_dead || !use_effective_)) {
       // Live re-placement: move copies off dead ranks (copy counts and
@@ -1133,78 +554,71 @@ UowResult DistributedEngine::run_uow() {
       effective_placement_ = core::replace_dead_hosts(
           placement_, graph_.num_filters(), num_ranks_, dead);
       use_effective_ = true;
-      if (moved > 0) {
-        std::lock_guard<std::mutex> flk(faults_mu_);
-        faults_.failovers += moved;
-      }
+      core_.set_placement(effective_placement_);
+      if (moved > 0) core_.count_fault(&core::FaultMetrics::failovers, moved);
     }
   }
 
-  build_uow();
-  const std::uint32_t uow = static_cast<std::uint32_t>(uow_index_);
+  bound_outboxes();
+  core_.begin_uow();
+  const auto uow = current_uow();
+  const char* replay_err = nullptr;
+  int replay_peer = -1;
   {
     // Publish the structures, then replay frames that arrived early (a peer
-    // that passed the previous barrier first may already be streaming).
+    // that passed the previous barrier first may already be streaming). A
+    // stashed frame is held to the same rules as a live one.
     std::lock_guard<std::mutex> lk(state_mu_);
     built_ = true;
     running_ = true;
-    std::vector<Frame> replay;
-    replay.swap(pending_);
-    for (auto& f : replay) {
-      if (f.header.route.uow == uow) {
-        const char* err = deliver_locked(f, /*origin=*/-2);
-        (void)err;  // bounds violations surface again via live frames; a
-                    // stashed frame's origin rank is unknown, so the
-                    // delivery is best-effort — see below for the real one
-      } else if (f.header.route.uow > uow) {
-        pending_.push_back(std::move(f));
-      }
-    }
-    if (fault_tolerant()) {
-      // Admission pre-pass: copy sets on ranks that died before this UOW
-      // began never join — declare them up front so routing excludes them
-      // from the first buffer on. Re-counted every UOW, like the simulator.
-      for (auto& cs : copysets_) {
-        if (cs->host == rank_ ||
-            rank_dead_[static_cast<std::size_t>(cs->host)].load(
-                std::memory_order_relaxed) == 0 ||
-            cs->down.load(std::memory_order_relaxed)) {
+    if (status_ != RunStatus::kComplete) core_.abort();
+    if (ft) {
+      // A rank that died after the admission census above but before the
+      // structures were published was only marked dead (on_peer_dead does
+      // not touch an unbuilt UOW). Fail it over now, before any worker
+      // runs; fail_host skips copy sets already down at admission.
+      for (int r = 0; r < num_ranks_; ++r) {
+        if (rank_dead_[static_cast<std::size_t>(r)].load(
+                std::memory_order_relaxed) == 0) {
           continue;
         }
-        cs->down.store(true, std::memory_order_relaxed);
-        fail_copyset_locked(*cs);
+        charge_boundary_death_locked(r);
+        core_.fail_host(r);
       }
     }
+    std::vector<std::pair<int, Frame>> replay;
+    replay.swap(pending_);
+    for (auto& [peer, f] : replay) {
+      if (f.header.route.uow == uow) {
+        const char* err = deliver_locked(peer, f);
+        if (err != nullptr && replay_err == nullptr) {
+          replay_err = err;
+          replay_peer = peer;
+        }
+      } else if (f.header.route.uow > uow) {
+        pending_.emplace_back(peer, std::move(f));
+      }
+    }
+  }
+  if (replay_err != nullptr) {
+    abort_run(RunStatus::kTransportError,
+              std::string(replay_err) + " (from rank " +
+                  std::to_string(replay_peer) + ")",
+              /*broadcast=*/true);
   }
 
   const auto t0 = Clock::now();
-  for (auto& inst : instances_) inst->ctx->epoch = t0;
-
-  std::vector<std::thread> threads;
-  threads.reserve(instances_.size());
-  for (auto& inst : instances_) {
-    Instance* p = inst.get();
-    threads.emplace_back([this, p] {
-      try {
-        worker_main(*p);
-      } catch (const exec::Aborted&) {
-        // Another thread (or an ABORT frame) failed the UOW; unwound clean.
-      } catch (const std::exception& e) {
-        abort_run(RunStatus::kAborted,
-                  std::string("filter error: ") + e.what(), /*broadcast=*/true);
-      } catch (...) {
-        abort_run(RunStatus::kAborted, "filter error: unknown exception",
-                  /*broadcast=*/true);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  core_.run_workers();
 
   // Completion barrier: announce our DONE, wait for every peer's. Peers'
   // CREDIT/ACK frames for our producers may still arrive during the wait
   // (their consumers can lag); the structures stay live until after it.
-  const bool ft = fault_tolerant();
-  if (!aborted_.load(std::memory_order_relaxed)) {
+  bool failed = false;
+  {
+    std::lock_guard<std::mutex> lk(state_mu_);
+    failed = status_ != RunStatus::kComplete;
+  }
+  if (!failed) {
     core::BufferRoute route;
     route.uow = uow;
     Frame done;
@@ -1246,7 +660,7 @@ UowResult DistributedEngine::run_uow() {
       const auto deadline =
           Clock::now() + std::chrono::duration<double>(opts_.barrier_timeout_s);
       timed_out = !state_cv_.wait_until(lk, deadline, [&] {
-        if (aborted_.load(std::memory_order_relaxed)) return true;
+        if (status_ != RunStatus::kComplete) return true;
         if (!ft) return done_counts_[uow] >= num_ranks_ - 1;
         for (int r = 0; r < num_ranks_; ++r) {
           if (r == rank_) continue;
@@ -1269,26 +683,18 @@ UowResult DistributedEngine::run_uow() {
   }
 
   const double makespan = seconds_since(t0);
-  std::vector<int> dead_filters_copy;
+  UowResult r;
+  r.makespan = makespan;
+  r.outcome.makespan = makespan;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     built_ = false;
     running_ = false;
     done_counts_.erase(uow);
-    // The peer-link recv threads read uow_index_ under state_mu_ (frame
-    // stashing, orderly-close classification); advance it under the same
-    // lock. Workers only read it between their fork and join, so the
-    // unlocked reads on their threads stay race-free.
-    ++uow_index_;
-    metrics_.makespan = makespan;
-    dead_filters_copy = dead_filters_uow_;
-  }
-  teardown_uow();
-
-  UowResult r;
-  r.makespan = makespan;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
+    // The peer-link recv threads read the executor's UOW index under
+    // state_mu_ (frame stashing, orderly-close classification); tear down
+    // and advance it under the same lock.
+    core_.end_uow(makespan);
     r.status = status_;
     r.error = error_;
     // Only transport-plane failures poison the engine: the mesh (or a
@@ -1297,19 +703,15 @@ UowResult DistributedEngine::run_uow() {
     // links healthy — the next UOW runs normally.
     if (r.status == RunStatus::kTransportError) poisoned_ = true;
   }
-  r.outcome.makespan = makespan;
+
   if (ft && r.status != RunStatus::kTransportError) {
-    core::FaultMetrics after;
-    {
-      std::lock_guard<std::mutex> flk(faults_mu_);
-      after = faults_;
-    }
+    const core::FaultMetrics after = core_.fault_metrics();
     r.outcome.failovers = after.failovers - faults_before.failovers;
     r.outcome.retransmits = after.retransmits - faults_before.retransmits;
     r.outcome.buffers_lost = after.buffers_lost - faults_before.buffers_lost;
     r.outcome.buffers_duplicated =
         after.buffers_duplicated - faults_before.buffers_duplicated;
-    r.outcome.dead_filters = std::move(dead_filters_copy);
+    r.outcome.dead_filters = core_.dead_filters();
     const bool perturbed =
         r.outcome.failovers > 0 || r.outcome.retransmits > 0 ||
         r.outcome.buffers_lost > 0 ||
@@ -1320,345 +722,6 @@ UowResult DistributedEngine::run_uow() {
                                         : core::UowStatus::kComplete);
   }
   return r;
-}
-
-void DistributedEngine::worker_main(Instance& inst) {
-  ContextImpl& ctx = *inst.ctx;
-
-  inst.in_init = true;
-  auto t0 = Clock::now();
-  inst.user->init(ctx);
-  inst.m.busy_time += seconds_since(t0);
-  inst.in_init = false;
-
-  if (graph_.filter(inst.filter).is_source) {
-    source_loop(inst, ctx);
-  } else {
-    consume_loop(inst, ctx);
-  }
-
-  t0 = Clock::now();
-  inst.user->process_eow(ctx);
-  inst.m.busy_time += seconds_since(t0);
-  drain(inst);
-
-  if (fault_tolerant()) {
-    // Retention settlement: every retained buffer must be released (peer
-    // credit/ack arrives) or reclaimed-and-retransmitted (peer dies, the
-    // monitor or a wire error requeues it) before this producer declares
-    // EOW — otherwise a death after our EOW would strand data no one will
-    // resend. Deadlock-free: consumers drain independently of our EOW, so
-    // the credits this wait needs are never gated on it.
-    const auto deadline =
-        Clock::now() +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(opts_.barrier_timeout_s));
-    for (;;) {
-      drain(inst);  // flushes buffers reclaimed from a dead target
-      std::unique_lock<std::mutex> lk(inst.wmu);
-      const auto settled = [&] {
-        if (!inst.retry.empty()) return false;
-        for (const auto& w : inst.writers) {
-          for (const auto& ret : w.retained) {
-            if (!ret.empty()) return false;
-          }
-        }
-        return true;
-      };
-      if (settled()) break;
-      const bool woke = inst.wcv.wait_until(lk, deadline, [&] {
-        return aborted_.load(std::memory_order_relaxed) ||
-               !inst.retry.empty() || settled();
-      });
-      if (aborted_.load(std::memory_order_relaxed)) throw exec::Aborted{};
-      if (!woke) {
-        lk.unlock();
-        abort_run(RunStatus::kTransportError,
-                  "retention settlement timed out after " +
-                      std::to_string(opts_.barrier_timeout_s) + "s",
-                  /*broadcast=*/true);
-        throw exec::Aborted{};
-      }
-    }
-  }
-
-  t0 = Clock::now();
-  inst.user->finalize(ctx);
-  inst.m.busy_time += seconds_since(t0);
-
-  // End-of-work markers to every consumer copy set. Remote EOW frames are
-  // enqueued on the same per-peer FIFO as this copy's DATA frames, so
-  // markers cannot overtake data on the wire either.
-  for (auto& w : inst.writers) {
-    const int in_port = w.stream->spec->to_port;
-    for (std::size_t ti = 0; ti < w.stream->targets.size(); ++ti) {
-      CopySetRt* t = w.stream->targets[ti];
-      if (t->host == rank_) {
-        t->channel.producer_eow(in_port);
-      } else {
-        core::BufferRoute route;
-        route.stream = w.stream->id;
-        route.producer = inst.index;
-        route.target = static_cast<std::int32_t>(ti);
-        route.uow = static_cast<std::uint32_t>(uow_index_);
-        links_[static_cast<std::size_t>(t->host)]->send(
-            make_frame(FrameType::kEow, route));
-      }
-    }
-  }
-}
-
-void DistributedEngine::source_loop(Instance& inst, ContextImpl& ctx) {
-  auto* src = static_cast<core::SourceFilter*>(inst.user.get());
-  bool more = true;
-  while (more) {
-    const auto t0 = Clock::now();
-    more = src->step(ctx);
-    inst.m.busy_time += seconds_since(t0);
-    drain(inst);
-  }
-}
-
-void DistributedEngine::consume_loop(Instance& inst, ContextImpl& ctx) {
-  exec::PortChannel<Delivery>& channel = inst.cset->channel;
-  for (;;) {
-    Delivery d;
-    int port = -1;
-    double waited = 0.0;
-    const auto pop = channel.pop(d, port, waited);
-    inst.m.queue_wait_time += waited;
-    // kEow is sticky; first sight is terminal (same contract as exec).
-    if (pop == exec::PortChannel<Delivery>::Pop::kEow) return;
-    inst.m.buffers_in++;
-    inst.m.bytes_in += d.buf.size();
-
-    const bool dd =
-        core::effective_policy(
-            config_.policy,
-            graph_.stream(static_cast<int>(d.route.stream))) ==
-        core::Policy::kDemandDriven;
-    settle_dequeue(d, dd);
-    if (dd) inst.m.acks_sent++;
-
-    const auto t0 = Clock::now();
-    inst.user->process_buffer(ctx, port, d.buf);
-    inst.m.busy_time += seconds_since(t0);
-    drain(inst);
-  }
-}
-
-void DistributedEngine::settle_dequeue(const Delivery& d, bool dd) {
-  if (d.origin == rank_) {
-    // In-process producer: settle its WriterState directly, exactly like
-    // exec::Engine (the native ack is this state update).
-    Instance* producer =
-        local_by_filter_[static_cast<std::size_t>(
-            graph_.stream(d.route.stream).from_filter)]
-                        [static_cast<std::size_t>(d.route.producer)];
-    assert(producer != nullptr);
-    {
-      std::lock_guard<std::mutex> lk(producer->wmu);
-      Writer& w = producer->writers[static_cast<std::size_t>(
-          graph_.stream(d.route.stream).from_port)];
-      w.on_dequeue(d.route.target);
-      if (dd) w.on_ack(d.route.target);
-      if (fault_tolerant()) {
-        // Local settlement releases retention at the same point the frame
-        // protocols would: dequeue for RR/WRR, ack for DD (here the two
-        // coincide — a local dequeue IS the demand ack).
-        auto& ret = w.retained[static_cast<std::size_t>(d.route.target)];
-        if (!ret.empty()) ret.pop_front();
-      }
-    }
-    producer->wcv.notify_all();
-    return;
-  }
-  // Remote producer: the dequeue credit (and, under DD, the demand ack)
-  // travel back as frames. origin -2 marks a replayed stash whose sender is
-  // its producer's rank — recover it from the placement via the route.
-  int origin = d.origin;
-  if (origin < 0) {
-    const int from = graph_.stream(d.route.stream).from_filter;
-    int global = 0;
-    for (const auto& e : pl().entries(from)) {
-      if (d.route.producer < global + e.copies) {
-        origin = e.host;
-        break;
-      }
-      global += e.copies;
-    }
-  }
-  if (origin < 0 || origin == rank_ || origin >= num_ranks_) return;
-  PeerLink* link = links_[static_cast<std::size_t>(origin)].get();
-  if (link == nullptr) return;
-  link->send(make_frame(FrameType::kCredit, d.route));
-  if (dd) link->send(make_frame(FrameType::kAck, d.route));
-}
-
-void DistributedEngine::drain(Instance& inst) {
-  if (fault_tolerant()) {
-    // Reclaimed buffers first (oldest-first, ahead of new output): the
-    // retry queue is refilled by fail_copyset_locked when a target dies,
-    // possibly while we are dispatching — loop until it stays empty.
-    for (;;) {
-      PendingOut out;
-      {
-        std::lock_guard<std::mutex> lk(inst.wmu);
-        if (inst.retry.empty()) break;
-        out = std::move(inst.retry.front());
-        inst.retry.pop_front();
-      }
-      dispatch(inst, out.port, std::move(out.buf));
-    }
-  }
-  while (!inst.pending.empty()) {
-    PendingOut out = std::move(inst.pending.front());
-    inst.pending.pop_front();
-    dispatch(inst, out.port, std::move(out.buf));
-  }
-}
-
-void DistributedEngine::dispatch(Instance& inst, int port, core::Buffer buf) {
-  Writer& w = inst.writers[static_cast<std::size_t>(port)];
-  const bool ft = fault_tolerant();
-  const core::Policy policy =
-      core::effective_policy(config_.policy, *w.stream->spec);
-  const int key = buf.route_key();
-  const auto local = [&](int t) {
-    return w.stream->targets[static_cast<std::size_t>(t)]->host ==
-           inst.cset->host;
-  };
-  const auto dead = [&](int t) {
-    return ft && w.stream->targets[static_cast<std::size_t>(t)]->down.load(
-                     std::memory_order_relaxed);
-  };
-  const auto any_live = [&] {
-    for (std::size_t t = 0; t < w.stream->targets.size(); ++t) {
-      if (!dead(static_cast<int>(t))) return true;
-    }
-    return false;
-  };
-
-  int target = -1;
-  {
-    std::unique_lock<std::mutex> lk(inst.wmu);
-    if (ft && !any_live()) {
-      // Every consumer copy set is on a dead rank: nowhere to deliver.
-      // Count the drop and move on (the simulator's all-targets-dead path).
-      lk.unlock();
-      std::lock_guard<std::mutex> flk(faults_mu_);
-      faults_.buffers_lost++;
-      return;
-    }
-    target = w.pick(policy, config_.window, w.stream->wrr_order, dead, local,
-                    key);
-    if (target < 0) {
-      // Window stall: the slot frees on a local dequeue, a CREDIT/ACK
-      // frame from a remote consumer, or a dead target's reclamation —
-      // every path notifies wcv.
-      const auto t0 = Clock::now();
-      bool all_dead = false;
-      bool timed_out = false;
-      const auto pred = [&] {
-        if (aborted_.load(std::memory_order_relaxed)) return true;
-        if (ft && !any_live()) {
-          all_dead = true;
-          return true;
-        }
-        target = w.pick(policy, config_.window, w.stream->wrr_order, dead,
-                        local, key);
-        return target >= 0;
-      };
-      if (ft) {
-        // Under fault tolerance a stall can also mean the consumer died
-        // mid-window and detection is pending — bound the wait so a
-        // detector failure cannot wedge the worker forever.
-        timed_out = !inst.wcv.wait_until(
-            lk,
-            t0 + std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double>(opts_.barrier_timeout_s)),
-            pred);
-      } else {
-        inst.wcv.wait(lk, pred);
-      }
-      const double stalled = seconds_since(t0);
-      inst.m.stall_time += stalled;
-      net_metrics_.record_credit_stall(
-          static_cast<std::uint64_t>(stalled * 1e6));
-      if (obs_ != nullptr && net_track_ != nullptr && obs_->enabled()) {
-        net_track_->instant(obs_->now(), "credit.stall", w.stream->id,
-                            static_cast<std::int64_t>(stalled * 1e6));
-      }
-      if (aborted_.load(std::memory_order_relaxed)) throw exec::Aborted{};
-      if (timed_out) {
-        lk.unlock();
-        abort_run(RunStatus::kTransportError,
-                  "credit stall exceeded " +
-                      std::to_string(opts_.barrier_timeout_s) + "s",
-                  /*broadcast=*/true);
-        throw exec::Aborted{};
-      }
-      if (all_dead) {
-        lk.unlock();
-        std::lock_guard<std::mutex> flk(faults_mu_);
-        faults_.buffers_lost++;
-        return;
-      }
-    }
-    w.on_dispatch(target);
-    if (ft) {
-      // Retain until released (credit/ack) or reclaimed (target death):
-      // core::Buffer is a shared envelope, so this is a refcount, not a
-      // copy of the payload.
-      w.retained[static_cast<std::size_t>(target)].push_back(buf);
-    }
-  }
-
-  StreamDelta& sd = inst.stream_local[static_cast<std::size_t>(w.stream->id)];
-  sd.buffers++;
-  sd.payload_bytes += buf.size();
-  sd.message_bytes += buf.size() + config_.header_bytes;
-  inst.m.buffers_out++;
-  inst.m.bytes_out += buf.size();
-
-  core::BufferRoute route;
-  route.stream = w.stream->id;
-  route.producer = inst.index;
-  route.target = target;
-  route.uow = static_cast<std::uint32_t>(uow_index_);
-
-  CopySetRt* cset = w.stream->targets[static_cast<std::size_t>(target)];
-  const std::uint64_t nbytes = buf.size();
-  if (cset->host == rank_) {
-    Delivery d;
-    d.buf = std::move(buf);
-    d.route = route;
-    d.origin = rank_;
-    const double pushed =
-        cset->channel.push(w.stream->spec->to_port, std::move(d));
-    inst.m.stall_time += pushed;
-  } else {
-    core::Buffer payload;
-    if (opts_.copy_payloads) {
-      // Legacy copy path, kept as the differential baseline: materialize
-      // the payload into a fresh arena slot and book the copy.
-      auto& arena = core::BufferArena::global();
-      payload = arena.make(buf.size());
-      payload.append(buf.bytes());
-      arena.note_payload_copy(buf.size());
-    } else {
-      // Zero-copy: the frame shares the producer's buffer storage; the
-      // send pump's scatter-gather write reads it in place.
-      payload = buf;
-    }
-    links_[static_cast<std::size_t>(cset->host)]->send(
-        make_frame(FrameType::kData, route, std::move(payload)));
-    if (fault_cell_ != nullptr) {
-      fault_cell_->advance(FaultTrigger::kFrames, 1);
-      fault_cell_->advance(FaultTrigger::kBytes, nbytes);
-    }
-  }
-  if (fault_cell_ != nullptr) fault_cell_->advance(FaultTrigger::kBuffers, 1);
 }
 
 }  // namespace dc::net

@@ -9,17 +9,16 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/graph.hpp"
 #include "core/placement.hpp"
 #include "core/runtime.hpp"
 #include "exec/engine.hpp"
-#include "exec/metrics.hpp"
 #include "net/metrics.hpp"
 #include "net/transport.hpp"
 #include "obs/recorder.hpp"
-#include "sim/rng.hpp"
 
 namespace dc::net {
 
@@ -46,15 +45,6 @@ struct DistributedOptions {
   /// where dead copy sets stay dead and every later UOW re-counts their
   /// failover at admission.
   bool replace_dead = false;
-
-  /// Materialize every DATA payload into fresh arena storage on both sides
-  /// of the wire — outbound instead of sharing the producer's buffer, and
-  /// on receipt instead of adopting the frame's storage (the pre-zero-copy
-  /// behavior). Every copy is booked via BufferArena::note_payload_copy,
-  /// which is how the copy-counter test proves the default path stayed
-  /// copy-free. Exists for the differential tests (copy path and zero-copy
-  /// path must be bit-identical) and the copy-vs-zero-copy bench delta.
-  bool copy_payloads = false;
 };
 
 /// Structured outcome of one distributed unit of work. A UOW never hangs
@@ -90,30 +80,30 @@ struct UowResult {
 /// the transparent copies placed on host r; filters are unmodified — the
 /// paper's transparency carries all the way across real sockets.
 ///
-/// Per UOW, each process instantiates worker threads exactly like
-/// exec::Engine (same copy-set order, same per-copy RNG split salts, same
-/// buffer-size negotiation), so for the same graph + placement + seed a
-/// distributed run produces BIT-IDENTICAL merged output to the in-process
-/// native engine and the simulator. Routing decisions reuse the shared
-/// core::WriterState — all three policies (RR / WRR / DD) work
-/// cross-process:
+/// The copies themselves run on exec::Engine, the one copy-set executor:
+/// this class is its exec::Transport. The executor builds every UOW exactly
+/// like an in-process run (same copy-set order, same per-copy RNG split
+/// salts, same buffer-size negotiation), so for the same graph + placement +
+/// seed a distributed run produces BIT-IDENTICAL merged output to the
+/// in-process native engine and the simulator, with the same trace spans and
+/// per-instance metrics. Only buffers, end-of-work markers, and dequeue
+/// settlements addressed to another rank reach the wire:
 ///
-///  - dispatch: the writer picks a target copy set among ALL copy sets of
-///    the consumer, local and remote. Local targets are fed through the
-///    exec::PortChannel directly; remote ones get a DATA frame.
-///  - flow control: a consumer dequeue frees the producer's window slot —
-///    in-process via direct WriterState update, cross-process via a CREDIT
-///    frame (and, under DD, an ACK frame: the paper's demand signal on the
-///    wire).
-///  - end of work: per producer copy and target set, locally via
-///    PortChannel::producer_eow, remotely via an EOW frame.
+///  - dispatch: the writer picks among ALL copy sets of the consumer, local
+///    and remote; a remote target gets a DATA frame.
+///  - flow control: a remote consumer's dequeue comes back as a CREDIT frame
+///    (and, under DD, an ACK frame: the paper's demand signal on the wire).
+///  - end of work: per producer copy and remote target set, an EOW frame.
 ///
-/// Receive threads never block on channel pushes (channels are sized to the
-/// credit bound: producers x window), so credit/abort frames always drain —
-/// the credit loop is deadlock-free by construction. A UOW ends with a DONE
-/// barrier; aborts and wire errors propagate as ABORT frames so every
+/// What stays here is the wire side: the peer links and frame decode, the
+/// early-frame stash for a peer one UOW ahead, the DONE barrier (with its
+/// dead-rank mask), the heartbeat monitor, abort propagation, the per-UOW
+/// outcome classification, and dead-rank re-placement. Receive threads never
+/// block on channel pushes (the executor sizes channels to the credit bound),
+/// so credit/abort frames always drain — the credit loop is deadlock-free by
+/// construction. Aborts and wire errors propagate as ABORT frames so every
 /// process terminates with a structured UowResult.
-class DistributedEngine {
+class DistributedEngine : private exec::Transport {
  public:
   /// `peers`: connected sockets indexed by rank (from connect_mesh); the
   /// slot at `rank` is ignored. Placement hosts must lie in [0, num_ranks).
@@ -121,7 +111,7 @@ class DistributedEngine {
                     core::RuntimeConfig config, int rank, int num_ranks,
                     std::vector<Socket> peers, DistributedOptions opts = {},
                     exec::HostInfo hosts = {});
-  ~DistributedEngine();
+  ~DistributedEngine() override;
 
   DistributedEngine(const DistributedEngine&) = delete;
   DistributedEngine& operator=(const DistributedEngine&) = delete;
@@ -137,14 +127,16 @@ class DistributedEngine {
 
   /// Cumulative metrics over this rank's local instances (producer-side
   /// stream ledger entries, consumer-side ack counts). Summing across ranks
-  /// reproduces the in-process exec::Metrics ledger exactly.
-  [[nodiscard]] const exec::Metrics& metrics() const { return metrics_; }
+  /// reproduces the in-process ledger exactly.
+  [[nodiscard]] const core::Metrics& metrics() const { return core_.metrics(); }
   [[nodiscard]] const NetMetrics& net_metrics() const { return net_metrics_; }
 
   /// Cumulative fault counters of this rank's local view (its own failovers
   /// observed, its producers' retransmits / losses). Per-UOW deltas are in
   /// UowResult::outcome.
-  [[nodiscard]] core::FaultMetrics fault_metrics() const;
+  [[nodiscard]] core::FaultMetrics fault_metrics() const {
+    return core_.fault_metrics();
+  }
 
   /// Attaches the process-fault harness's trigger cell (nullptr detaches;
   /// must outlive the engine). The engine reports UOW entry (at_uow) and
@@ -154,58 +146,66 @@ class DistributedEngine {
 
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int num_ranks() const { return num_ranks_; }
-  [[nodiscard]] const core::RuntimeConfig& config() const { return config_; }
+  [[nodiscard]] const core::RuntimeConfig& config() const {
+    return core_.config();
+  }
 
   /// Memory-governor counters for this rank (all zero when ungoverned,
   /// i.e. RuntimeConfig::memory_budget_bytes == 0). In governed mode the
   /// channel floor shrinks from producers x window to `window` per port —
   /// recv threads still never block, because elastic denial spills instead —
   /// while the wire credit protocol is unchanged.
-  [[nodiscard]] core::GovernorStats governor_stats() const;
+  [[nodiscard]] core::GovernorStats governor_stats() const {
+    return core_.governor_stats();
+  }
 
   /// Attaches a cross-engine observability session (nullptr detaches; must
-  /// outlive the engine). Peer links record net.send / net.recv spans on
+  /// outlive the engine). Worker threads record the executor's spans on
+  /// "exec:" tracks; peer links record net.send / net.recv spans on
   /// "net:r<a>->r<b>" tracks; producers record credit.stall instants on
   /// "net:r<rank>" when a dispatch blocks waiting for a window slot.
   /// Attach BEFORE the first run_uow.
   void set_obs(obs::TraceSession* session);
 
-  // Implementation types, public only so the translation unit's helpers can
-  // reference them; not part of the stable API.
-  struct Instance;
-  struct CopySetRt;
-  struct StreamRt;
-  struct ContextImpl;
-  struct Delivery;
-  struct Writer;
-
  private:
+  // ---- exec::Transport -----------------------------------------------------
+  [[nodiscard]] int local_host() const override { return rank_; }
+  [[nodiscard]] double settle_timeout_s() const override {
+    return opts_.barrier_timeout_s;
+  }
+  void send_data(int host, const core::BufferRoute& route,
+                 core::Buffer buf) override;
+  void send_eow(int host, const core::BufferRoute& route) override;
+  void send_settle(int host, const core::BufferRoute& route,
+                   bool ack) override;
+  void window_stalled(int stream, double seconds) override;
+  void worker_failed(const std::string& reason, bool transport_error) override;
+
+  /// The UOW the executor runs or builds next; read under state_mu_ off the
+  /// main thread (run_uow advances it under the same lock).
+  [[nodiscard]] std::uint32_t current_uow() const {
+    return static_cast<std::uint32_t>(core_.uow_index());
+  }
   void start_links();  ///< lazily on the first run_uow (after set_obs)
-  [[nodiscard]] const std::string& host_class_of(int host) const;
-  void build_uow();
-  void teardown_uow();
-  void worker_main(Instance& inst);
-  void source_loop(Instance& inst, ContextImpl& ctx);
-  void consume_loop(Instance& inst, ContextImpl& ctx);
-  void drain(Instance& inst);
-  void dispatch(Instance& inst, int port, core::Buffer buf);
-  void settle_dequeue(const Delivery& d, bool dd);
   /// Handles one validated frame from a peer (recv threads).
   void on_frame(int peer, const Frame& f);
   void on_wire_error(int peer, WireError err, const std::string& detail);
-  /// Delivers a DATA / EOW / CREDIT / ACK frame into the built structures.
+  /// Hands a DATA / EOW / CREDIT / ACK frame from `peer` to the executor.
   /// Caller holds state_mu_ and has checked the frame's uow matches.
   /// Returns nullptr on success, a static protocol-violation message
   /// otherwise (the caller escalates it to a transport error after
   /// releasing state_mu_).
-  const char* deliver_locked(const Frame& f, int origin);
+  const char* deliver_locked(int peer, const Frame& f);
   /// Records the first failure, wakes every blocked thread, optionally
   /// broadcasts ABORT to the peers.
   void abort_run(RunStatus status, const std::string& reason, bool broadcast);
+  /// Bounds each link's outbox at what the credit windows allow outstanding
+  /// from this rank under the current placement.
+  void bound_outboxes();
 
   // ---- fault tolerance -----------------------------------------------------
   [[nodiscard]] bool fault_tolerant() const {
-    return config_.detection != core::FailureDetection::kNone;
+    return core_.config().detection != core::FailureDetection::kNone;
   }
   /// The placement the current UOW runs under — the user's placement, or
   /// the re-placed one when replace_dead moved copies off dead ranks.
@@ -213,38 +213,36 @@ class DistributedEngine {
     return use_effective_ ? effective_placement_ : placement_;
   }
   /// Declares `peer` dead (idempotent). If the peer had not yet passed the
-  /// current UOW's DONE barrier, its copy sets fail over immediately:
-  /// routing fences them, local producers reclaim and retransmit retained
-  /// buffers, consumers' end-of-work obligations settle. Otherwise the
-  /// death only marks membership — the next UOW's admission pre-pass
-  /// re-counts the failover, exactly like the simulator.
+  /// current UOW's DONE barrier, its copy sets fail over immediately
+  /// (exec::Engine::fail_host), or, while the UOW is still being built, as
+  /// run_uow publishes it. Otherwise the death only marks membership — the
+  /// next UOW's admission re-counts the failover, exactly like the
+  /// simulator.
   void on_peer_dead(int peer);
-  /// Fails over one (remote) copy set of the current UOW. state_mu_ held.
-  void fail_copyset_locked(CopySetRt& cset);
+  /// Charges a rank that died outside any running UOW to hosts_failed,
+  /// once; returns whether this call charged it. Caller holds state_mu_.
+  bool charge_boundary_death_locked(int peer);
   /// Heartbeat-timeout watchdog loop (fault-tolerant runs only).
   void monitor_main();
 
   const core::Graph& graph_;
   const core::Placement& placement_;
-  core::RuntimeConfig config_;
   DistributedOptions opts_;
-  exec::HostInfo hosts_;
   int rank_;
   int num_ranks_;
-  std::vector<std::size_t> buffer_bytes_;  ///< negotiated, per stream
 
   std::vector<Socket> peer_sockets_;  ///< until links start (first run_uow)
-  std::vector<std::unique_ptr<PeerLink>> links_;  ///< by rank; null at self
 
   // UOW state, guarded by state_mu_ where noted.
   std::mutex state_mu_;
   std::condition_variable state_cv_;
-  bool built_ = false;       ///< structures of uow_index_ are live
+  bool built_ = false;       ///< core_ holds the structures of current_uow()
   bool running_ = false;     ///< between worker start and barrier exit
   bool poisoned_ = false;    ///< a previous UOW failed; engine unusable
   RunStatus status_ = RunStatus::kComplete;
   std::string error_;
-  std::vector<Frame> pending_;  ///< early frames for a not-yet-built uow
+  /// Early frames (with their sender) for a not-yet-built UOW.
+  std::vector<std::pair<int, Frame>> pending_;
   std::map<std::uint32_t, int> done_counts_;  ///< uow -> DONEs received
   std::set<std::uint32_t> pending_aborts_;  ///< ABORTs for UOWs not yet begun
   /// Per peer: one past the last UOW that peer sent DONE for. A clean close
@@ -252,53 +250,39 @@ class DistributedEngine {
   /// finished its run first), not a transport failure.
   std::vector<std::uint32_t> peer_done_next_;
 
-  std::atomic<bool> aborted_{false};
-
-  // Live only while built_ (state_mu_ held for structural access from the
-  // recv threads; worker threads own their instances).
-  std::vector<std::unique_ptr<Instance>> instances_;
-  std::vector<std::unique_ptr<CopySetRt>> copysets_;
-  std::vector<std::unique_ptr<StreamRt>> stream_rt_;
-  std::vector<std::vector<Instance*>> local_by_filter_;  ///< [filter][global]
-  int uow_index_ = 0;
-  /// Non-null iff config_.memory_budget_bytes > 0; outlives every copy set.
-  std::unique_ptr<core::MemoryGovernor> governor_;
-
   // ---- fault-tolerance state ----------------------------------------------
   /// Peers declared dead (index by rank; sticky for the engine's lifetime).
   /// Written under state_mu_; atomic so hot paths may read without it.
   std::vector<std::atomic<char>> rank_dead_;
   /// Last frame arrival per peer, steady-clock nanoseconds (monitor input).
   std::vector<std::atomic<std::int64_t>> last_heard_ns_;
-  std::thread monitor_;
   std::mutex monitor_mu_;
   std::condition_variable monitor_cv_;
   bool monitor_stop_ = false;
-  /// Local fault counters (this rank's view); guarded by faults_mu_ — they
-  /// are bumped from worker, recv, and monitor threads alike.
-  mutable std::mutex faults_mu_;
-  core::FaultMetrics faults_;
-  /// Ranks whose death has been charged to faults_.hosts_failed. Mid-UOW
-  /// deaths are charged at detection (the simulator counts them in-UOW);
-  /// boundary deaths are charged at the next admission pre-pass, so a rank
-  /// that exits cleanly after the final UOW is never counted. state_mu_.
+  /// Ranks whose death has been charged to hosts_failed. Mid-UOW deaths are
+  /// charged at detection (the simulator counts them in-UOW); boundary
+  /// deaths are charged at the next admission, so a rank that exits cleanly
+  /// after the final UOW is never counted. state_mu_.
   std::vector<char> hosts_counted_;
   /// Mid-UOW host failures observed during the CURRENT UOW — the outcome's
   /// "perturbed" input. Boundary deaths stay out, mirroring the simulator
   /// (whose on_host_failed is gated on in_uow_).
   std::atomic<std::uint64_t> hosts_failed_uow_{0};
-  /// Per-UOW survivor bookkeeping, guarded by state_mu_.
-  std::vector<int> live_copies_;        ///< per filter, current UOW
-  std::vector<int> dead_filters_uow_;   ///< filters that lost every copy
   core::Placement effective_placement_;  ///< replace_dead rewrite
   bool use_effective_ = false;
   FaultCell* fault_cell_ = nullptr;
 
-  exec::Metrics metrics_;
   NetMetrics net_metrics_;
-  sim::Rng base_rng_;
   obs::TraceSession* obs_ = nullptr;
   obs::Track* net_track_ = nullptr;  ///< "net:r<rank>" (credit.stall)
+
+  /// The copy-set executor. Declared after everything the transport
+  /// callbacks read and before the links, so the links (whose receive
+  /// threads call into it) go first on destruction.
+  exec::Engine core_;
+  std::vector<std::unique_ptr<PeerLink>> links_;  ///< by rank; null at self
+  /// Heartbeat monitor (fault-tolerant runs); joined by shutdown().
+  std::thread monitor_;
 };
 
 }  // namespace dc::net

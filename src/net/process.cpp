@@ -59,7 +59,10 @@ void drain_stream(int fd, std::string& out, std::size_t cap, bool& truncated) {
 struct RankProc {
   pid_t pid = -1;
   bool running = false;
-  bool stopped = false;        ///< SIGSTOP delivered, SIGCONT not yet
+  /// A fault event arrived; act once waitpid reports the child's self-stop.
+  bool await_stop = false;
+  std::size_t pending_point = 0;  ///< index into points while await_stop
+  bool stopped = false;        ///< frozen by a kStop fault, SIGCONT not yet
   bool has_resume = false;
   Clock::time_point resume_at{};
   bool pending_restart = false;
@@ -97,10 +100,13 @@ void FaultCell::reached_locked(std::size_t i) {
       return;  // parent gone; nothing sensible left to do
     }
   }
-  // Block until the parent acts: a SIGKILL ends the process inside this
-  // read; a SIGSTOP freezes it here and the ack arrives only after the
-  // parent's SIGCONT. Either way the child's state at the fault instant is
-  // exactly "blocked at the trigger point" — fully deterministic.
+  // Freeze the WHOLE process, not just this thread: no other copy, pump, or
+  // heartbeat thread can make progress past the fault instant. The parent
+  // acts only once waitpid reports this stop — a SIGKILL ends the process
+  // right here; for a freeze it SIGCONTs us and then sends the ack, which
+  // this thread waits for. Either way every thread's state at the fault is
+  // exactly "stopped at the trigger point", however loaded the machine.
+  ::kill(::getpid(), SIGSTOP);
   char b = 0;
   for (;;) {
     const ssize_t k = ::read(ack_fd_, &b, 1);
@@ -272,6 +278,7 @@ std::vector<RankStatus> FaultHarness::run(
     if (ev[0] >= 0) set_nonblocking(ev[0]);
     pr.pid = pid;
     pr.running = true;
+    pr.await_stop = false;
     pr.stopped = false;
     pr.has_resume = false;
     pr.pending_restart = false;
@@ -307,6 +314,28 @@ std::vector<RankStatus> FaultHarness::run(
     pr.has_resume = false;
   };
 
+  // Fault events: 4-byte point indices from the child's FaultCell. The
+  // child stops itself right after writing one; the fault is delivered when
+  // waitpid reports that stop.
+  const auto read_events = [](RankProc& pr, RankStatus& st) {
+    while (pr.event_r >= 0) {
+      const ssize_t k = ::read(pr.event_r, pr.evbuf + pr.evlen,
+                               sizeof pr.evbuf - pr.evlen);
+      if (k < 0 && errno == EINTR) continue;
+      if (k <= 0) break;
+      pr.evlen += static_cast<std::size_t>(k);
+      if (pr.evlen < sizeof pr.evbuf) continue;
+      pr.evlen = 0;
+      std::uint32_t idx = 0;
+      std::memcpy(&idx, pr.evbuf, sizeof idx);
+      if (idx >= pr.points.size()) continue;  // malformed; ignore
+      pr.consumed[idx] = true;
+      ++st.faults_injected;
+      pr.await_stop = true;
+      pr.pending_point = idx;
+    }
+  };
+
   // Drains pipes, applies fault actions, and reaps children — all from this
   // one thread (no helpers: forking, including restarts, stays TSan-safe).
   const auto deadline =
@@ -323,45 +352,39 @@ std::vector<RankStatus> FaultHarness::run(
       drain_stream(pr.stderr_r, st.stderr_output, opts_.stderr_cap_bytes,
                    pr.stderr_truncated);
 
-      // Fault events: 4-byte point indices from the child's FaultCell.
-      while (pr.event_r >= 0) {
-        const ssize_t k = ::read(pr.event_r, pr.evbuf + pr.evlen,
-                                 sizeof pr.evbuf - pr.evlen);
-        if (k < 0 && errno == EINTR) continue;
-        if (k <= 0) break;
-        pr.evlen += static_cast<std::size_t>(k);
-        if (pr.evlen < sizeof pr.evbuf) continue;
-        pr.evlen = 0;
-        std::uint32_t idx = 0;
-        std::memcpy(&idx, pr.evbuf, sizeof idx);
-        if (idx >= pr.points.size()) continue;  // malformed; ignore
-        const FaultPoint& p = pr.points[idx];
-        pr.consumed[idx] = true;
-        ++st.faults_injected;
-        if (p.action == FaultAction::kKill) {
-          pr.pending_restart = p.restart;
-          ::kill(pr.pid, SIGKILL);
-        } else {
-          // The child stays blocked at the trigger (its ack arrives only
-          // with the SIGCONT), so the frozen state is deterministic.
-          ::kill(pr.pid, SIGSTOP);
-          pr.stopped = true;
-          if (p.resume_after_s > 0.0) {
-            pr.has_resume = true;
-            pr.resume_at =
-                now + std::chrono::duration_cast<Clock::duration>(
-                          std::chrono::duration<double>(p.resume_after_s));
-          }
-        }
-      }
+      read_events(pr, st);
 
       if (pr.stopped && pr.has_resume && now >= pr.resume_at) {
         release_stopped(pr);
       }
 
       int wstatus = 0;
-      const pid_t w = ::waitpid(pr.pid, &wstatus, WNOHANG);
+      const pid_t w = ::waitpid(pr.pid, &wstatus, WNOHANG | WUNTRACED);
       if (w == 0) continue;
+      if (w > 0 && WIFSTOPPED(wstatus)) {
+        // The child stopped itself at its trigger. Its event was written
+        // before the stop, so it is in the pipe by now: deliver the fault.
+        read_events(pr, st);
+        if (pr.await_stop) {
+          pr.await_stop = false;
+          const FaultPoint& p = pr.points[pr.pending_point];
+          if (p.action == FaultAction::kKill) {
+            pr.pending_restart = p.restart;
+            ::kill(pr.pid, SIGKILL);
+          } else {
+            // Stays frozen until the scheduled resume (SIGCONT + ack), or
+            // for good when no resume is scheduled.
+            pr.stopped = true;
+            if (p.resume_after_s > 0.0) {
+              pr.has_resume = true;
+              pr.resume_at =
+                  now + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double>(p.resume_after_s));
+            }
+          }
+        }
+        continue;
+      }
       // Final drain: anything written between the last poll and death.
       drain_stream(pr.stderr_r, st.stderr_output, opts_.stderr_cap_bytes,
                    pr.stderr_truncated);
@@ -370,6 +393,7 @@ std::vector<RankStatus> FaultHarness::run(
       close_fd(pr.ack_w);
       pr.running = false;
       pr.stopped = false;
+      pr.await_stop = false;
       if (w < 0) {
         st.exit_code = -1;  // should not happen; treat as failure
       } else if (WIFEXITED(wstatus)) {

@@ -26,7 +26,8 @@ struct RankEnv {
   int generation = 0;
   /// Non-null when the FaultHarness armed fault points for this rank. The
   /// rank (or the engine it runs) reports trigger progress through it; the
-  /// matching trigger blocks the caller while the parent delivers the fault.
+  /// matching trigger stops the whole process while the parent delivers the
+  /// fault.
   FaultCell* fault = nullptr;
 };
 
@@ -69,8 +70,8 @@ enum class FaultAction {
 /// When the fault fires. kUow matches an exact UOW index reported by the
 /// child; the counter kinds fire when the child's cumulative count reaches
 /// `value`. All of them are CHILD-reported logical points (over the control
-/// pipe), never wall-clock timers — the child blocks inside the trigger
-/// until the parent has delivered the signal, so tests are not flaky.
+/// pipe), never wall-clock timers — the child stops itself inside the
+/// trigger until the parent has delivered the fault, so tests are not flaky.
 enum class FaultTrigger {
   kUow,      ///< start of UOW index `value` (engine-reported)
   kFrames,   ///< cumulative remote DATA frames dispatched >= value
@@ -94,9 +95,11 @@ struct FaultPoint {
 /// Child-side trigger reporter, handed to the rank through RankEnv::fault.
 /// Thread-safe: engine worker threads and test filters may all advance it.
 /// When a trigger matches, the caller writes the event to the parent and
-/// BLOCKS reading the ack — for a kill the block ends with the process; for
-/// a stop the ack is consumed after SIGCONT. Everything is process-local
-/// state plus two inherited pipe fds; no wall clocks anywhere.
+/// SIGSTOPs its own process, so every thread freezes at the fault instant.
+/// The parent acts once waitpid reports the stop: a kill ends the process
+/// there; a freeze is resumed with SIGCONT plus an ack the caller then
+/// reads. Everything is process-local state plus two inherited pipe fds; no
+/// wall clocks anywhere.
 class FaultCell {
  public:
   /// Reports that UOW `uow` is starting on this rank.
@@ -122,9 +125,9 @@ class FaultCell {
 };
 
 /// Parent-side controller for deterministic process-level fault injection:
-/// forks `n` rank processes exactly like run_local_ranks, then SIGKILLs /
-/// SIGSTOPs chosen ranks at the trigger points they report over per-rank
-/// control pipes, optionally restarts killed ranks, and collects per-rank
+/// forks `n` rank processes exactly like run_local_ranks, then kills or
+/// freezes chosen ranks at the trigger points they report over per-rank
+/// control pipes (each rank stops itself there first), optionally restarts killed ranks, and collects per-rank
 /// structured outcomes (exit status + captured stderr + faults delivered).
 /// The parent stays single-threaded throughout (TSan-safe forks): one
 /// polling loop drains pipes, applies faults, and reaps children.

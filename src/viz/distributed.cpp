@@ -65,7 +65,7 @@ struct RankResult {
   std::vector<int> uow_status;       ///< net::RunStatus per completed call
   std::vector<double> per_uow;       ///< makespans
   std::string error;                 ///< first failure
-  exec::Metrics metrics;             ///< this rank's local ledger
+  core::Metrics metrics;             ///< this rank's local ledger
   net::NetMetricsSnapshot net;
   std::vector<core::UowOutcome> outcomes;  ///< per-UOW fault outcomes
   core::FaultMetrics faults;               ///< cumulative fault ledger
@@ -243,7 +243,6 @@ int rank_main(net::RankEnv& env, const IsoAppSpec& spec,
   IsoApp app = opts.builder ? opts.builder(spec) : build_iso_app(spec);
   net::DistributedOptions dopts;
   dopts.barrier_timeout_s = opts.barrier_timeout_s;
-  dopts.copy_payloads = opts.copy_payloads;
 
   RankResult result;
   result.rank = env.rank;
@@ -291,11 +290,11 @@ int rank_main(net::RankEnv& env, const IsoAppSpec& spec,
       rc = std::max(rc, 3);
     }
   }
-  // Zero-copy enforcement: on the default path no DATA payload may have
-  // been materialized between production and the socket write. Every
-  // differential run doubles as the copy-counter regression test.
-  if (!opts.copy_payloads &&
-      core::BufferArena::global().stats().payload_copies > 0) {
+  // Zero-copy enforcement: no DATA payload may have been materialized
+  // between production and the socket write. Every distributed run doubles
+  // as the copy-counter regression test (exit code 6 if a copy crept back
+  // onto the hot path).
+  if (core::BufferArena::global().stats().payload_copies > 0) {
     rc = std::max(rc, 6);
   }
   return rc;

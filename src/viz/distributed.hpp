@@ -7,7 +7,6 @@
 
 #include "core/metrics.hpp"
 #include "core/runtime.hpp"
-#include "exec/metrics.hpp"
 #include "net/distributed.hpp"
 #include "net/metrics.hpp"
 #include "net/process.hpp"
@@ -22,19 +21,13 @@ struct DistributedRunOptions {
   double mesh_timeout_s = 30.0;
   /// Per-UOW completion-barrier deadline inside the engine.
   double barrier_timeout_s = 60.0;
-  /// Non-empty: each rank records an obs::TraceSession (net.send/net.recv
-  /// spans, credit.stall instants) and writes `<dir>/rank<k>.trace.json`.
+  /// Non-empty: each rank records an obs::TraceSession (its workers' exec:
+  /// spans, net.send/net.recv spans, credit.stall instants) and writes
+  /// `<dir>/rank<k>.trace.json`.
   std::string trace_dir;
   /// Non-empty: rank result files go here (kept afterwards); otherwise a
   /// temp dir is used and removed.
   std::string result_dir;
-  /// Run the legacy copy path (every outbound DATA payload materialized —
-  /// net::DistributedOptions::copy_payloads). The differential tests run
-  /// both paths and require bit-identical results; the bench records the
-  /// throughput delta. When false (the default, zero-copy), each rank
-  /// additionally asserts at exit that the arena's payload-copy counter
-  /// stayed zero — exit code 6 if a copy crept back onto the hot path.
-  bool copy_payloads = false;
   /// App-construction hook: each rank calls it (instead of build_iso_app)
   /// to build its graph + placement + sink from the spec. Must be
   /// deterministic — every rank builds the identical app. The tiled
@@ -54,8 +47,8 @@ struct DistributedRenderRun {
   std::vector<std::uint64_t> digests;   ///< merged image digests, per UOW
   std::vector<Image> images;            ///< merged images (keep_images)
   /// Stream / ack ledgers summed across every rank's local instances; for
-  /// the same spec + config + seed these match exec::Engine's exactly.
-  exec::Metrics metrics;
+  /// the same spec + config + seed these match the native run's exactly.
+  core::Metrics metrics;
   net::NetMetricsSnapshot net;  ///< transport counters summed across ranks
   /// Per-UOW fault outcomes, aggregated across ranks: worst status, max
   /// failovers (every rank books each dead copy set once, so per-rank

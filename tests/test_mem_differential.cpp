@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "backlog.hpp"
 #include "core/runtime.hpp"
 #include "test_util.hpp"
 #include "viz/app.hpp"
@@ -15,6 +16,10 @@
 // baseline — spilling changes where queued bytes live, never what the
 // pipeline computes. 10 seeds x {RR, WRR, DD} on the native engine, plus
 // 2-process distributed runs against the same baseline.
+//
+// Whether a producer outruns its consumer is up to the scheduler, so the
+// native spill runs force the backlog (test::run_backlogged): the source's
+// consumers wait in init() until the source finished the UOW.
 //
 // NOTE on threading: the distributed tests fork rank processes, so the
 // parent stays single-threaded (no exec::Watchdog) — the process-group
@@ -72,7 +77,7 @@ TEST_P(MemSeededPolicy, HeavySpillIsBitIdenticalToFixedWindowNative) {
     // One byte of budget: every beyond-floor delivery is denied and spills.
     core::RuntimeConfig tiny = cfg;
     tiny.memory_budget_bytes = 1;
-    const viz::NativeRenderRun spilled = viz::run_iso_app_native(s, tiny, 1);
+    const viz::NativeRenderRun spilled = test::run_backlogged(s, tiny, 1);
 
     EXPECT_GT(spilled.governor.spilled_buffers, 0u)
         << "a one-byte budget must force spilling";
@@ -119,7 +124,7 @@ TEST_F(MemDifferential, MultiUowSeriesSurvivesSustainedPressureNative) {
   const viz::NativeRenderRun base = viz::run_iso_app_native(s, cfg, 3);
   core::RuntimeConfig tiny = cfg;
   tiny.memory_budget_bytes = 1;
-  const viz::NativeRenderRun spilled = viz::run_iso_app_native(s, tiny, 3);
+  const viz::NativeRenderRun spilled = test::run_backlogged(s, tiny, 3);
 
   EXPECT_GT(spilled.governor.spilled_buffers, 0u);
   ASSERT_EQ(spilled.sink->images.size(), 3u);

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "backlog.hpp"
 #include "core/arena.hpp"
 #include "core/crc32c.hpp"
 #include "core/filter.hpp"
@@ -422,10 +423,7 @@ TEST(GovernedEngine, BudgetConservationAcrossTwentySeeds) {
   // grants, denials, and spills all exercise under the bound.
   cfg.memory_budget_bytes = floor + 4 * s.pix_buffer_bytes;
   std::uint64_t total_spilled = 0;
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    cfg.rng_seed = seed;
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const viz::NativeRenderRun run = viz::run_iso_app_native(s, cfg, 1);
+  const auto check = [&](const viz::NativeRenderRun& run) {
     const core::GovernorStats g = run.governor;
     ASSERT_LE(g.floor_reserved_bytes, g.budget_bytes)
         << "budget must cover the floor for the bound to apply";
@@ -434,9 +432,20 @@ TEST(GovernedEngine, BudgetConservationAcrossTwentySeeds) {
     EXPECT_EQ(g.spilled_bytes, g.readmitted_bytes);
     total_spilled += g.spilled_buffers;
     ASSERT_EQ(run.sink->digests.size(), 1u);
+  };
+  // Naturally scheduled runs: governed pushes race pops (and reclaim) on
+  // every queue.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    cfg.rng_seed = seed;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    check(viz::run_iso_app_native(s, cfg, 1));
   }
-  // The budget was tight enough that pressure actually occurred somewhere
-  // across the seeds (each individual seed may or may not spill).
+  // Whether those spill is up to the scheduler. One run that holds the
+  // raster copy until the source is done (test::run_backlogged) makes sure
+  // the budget was tight enough that pressure actually occurred.
+  cfg.rng_seed = 1;
+  SCOPED_TRACE("backlogged");
+  check(test::run_backlogged(s, cfg, 1));
   EXPECT_GT(total_spilled, 0u);
 }
 

@@ -436,6 +436,73 @@ TEST(NetDifferentialCorrupt, FarFutureUowFrameTerminatesStructured) {
   EXPECT_EQ(statuses[1].exit_code, 0);
 }
 
+// A peer may run one UOW ahead, so a frame for the next UOW is stashed and
+// replayed when that UOW builds. The replay must hold the frame to the same
+// rules as a live one: a protocol violation in a stashed frame is a
+// transport error, not a silently dropped frame.
+TEST(NetDifferentialCorrupt, StashedFrameViolationTerminatesStructured) {
+  const auto statuses = net::run_local_ranks(
+      2,
+      [](net::RankEnv& env) {
+        std::vector<net::Socket> peers = net::connect_mesh(env, 30.0);
+        env.listener.close();
+
+        if (env.rank == 1) {
+          // Saboteur with nothing placed on it: during UOW 0 it sends a DATA
+          // frame with a bad stream id tagged UOW 1, then its DONEs for both
+          // UOWs, all in wire order.
+          core::BufferRoute bad;
+          bad.stream = 99;
+          bad.producer = 0;
+          bad.target = 0;
+          bad.uow = 1;
+          net::Frame data = net::make_frame(net::FrameType::kData, bad,
+                                            std::vector<std::byte>(8));
+          core::BufferRoute done0;
+          done0.uow = 0;
+          core::BufferRoute done1;
+          done1.uow = 1;
+          net::Frame d0 = net::make_frame(net::FrameType::kDone, done0);
+          net::Frame d1 = net::make_frame(net::FrameType::kDone, done1);
+          if (!net::write_frame(peers[0], data, /*seq=*/1) ||
+              !net::write_frame(peers[0], d0, /*seq=*/2) ||
+              !net::write_frame(peers[0], d1, /*seq=*/3)) {
+            return 7;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(300));
+          return 0;
+        }
+
+        core::Graph g;
+        const int src = g.add_source(
+            "src", [] { return std::make_unique<CountSource>(20); });
+        const int sink = g.add_filter(
+            "sink", [] { return std::make_unique<ThrowOnHost>(-1); });
+        g.connect(src, 0, sink, 0);
+        core::Placement p;
+        p.place(src, 0, 1).place(sink, 0, 1);
+
+        core::RuntimeConfig cfg;
+        net::DistributedOptions dopts;
+        dopts.barrier_timeout_s = 30.0;
+        net::DistributedEngine eng(g, p, cfg, env.rank, env.num_ranks,
+                                   std::move(peers), dopts);
+        const net::UowResult first = eng.run_uow();
+        const net::UowResult second = eng.run_uow();
+        if (first.status != net::RunStatus::kComplete) return 4;
+        if (second.status != net::RunStatus::kTransportError) return 5;
+        return 0;
+      },
+      net::LaunchOptions{/*timeout_s=*/60.0});
+
+  ASSERT_EQ(statuses.size(), 2u);
+  EXPECT_EQ(statuses[0].exit_code, 0)
+      << "(4 = UOW 0 not complete, 5 = UOW 1 not a transport error) stderr: "
+      << statuses[0].stderr_output;
+  EXPECT_FALSE(statuses[0].timed_out);
+  EXPECT_EQ(statuses[1].exit_code, 0);
+}
+
 TEST(NetDifferentialCorrupt, PeerDeathMidRunTerminatesStructured) {
   const auto statuses = net::run_local_ranks(
       2,
@@ -489,15 +556,15 @@ TEST_F(NetDifferential, SingleProcessDegenerateMatchesNative) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy equivalence: the arena-backed zero-copy DATA path (the default)
-// and the legacy deep-copy path must be BIT-IDENTICAL — images, digests,
-// and stream ledgers — across 1, 2, and 4 ranks. The zero-copy runs also
-// enforce the copy counter: any rank that materialized a payload on the hot
-// path exits 6 and fails the run. This is the end-to-end proof that the
-// refactor changed how bytes move, not what arrives.
+// Zero-copy data path vs the native engine: the arena-backed DATA path must
+// be BIT-IDENTICAL to the in-process run — images, digests, and stream
+// ledgers — across 1, 2, and 4 ranks. Every distributed run also enforces
+// the copy counter: a rank that materialized a payload on the hot path
+// exits 6 and fails the run. This is the end-to-end proof that crossing the
+// wire changes how bytes move, not what arrives.
 // ---------------------------------------------------------------------------
 
-TEST_F(NetDifferential, ZeroCopyAndCopyPathsAreBitIdentical) {
+TEST_F(NetDifferential, ZeroCopyPathIsBitIdenticalToNative) {
   for (int ranks : {1, 2, 4}) {
     // Hosts must exist as ranks: scale the placement with the rank count.
     auto s = ranks == 1
@@ -520,36 +587,27 @@ TEST_F(NetDifferential, ZeroCopyAndCopyPathsAreBitIdentical) {
 
       const viz::NativeRenderRun nat = viz::run_iso_app_native(s, cfg, 1);
 
-      viz::DistributedRunOptions zc;
-      zc.timeout_s = kGroupTimeout;
-      zc.copy_payloads = false;  // default, spelled out: arena zero-copy
-      const viz::DistributedRenderRun zrun =
-          viz::run_iso_app_distributed(s, cfg, 1, ranks, zc);
-      ASSERT_TRUE(zrun.ok) << zrun.error;
+      viz::DistributedRunOptions opts;
+      opts.timeout_s = kGroupTimeout;
+      const viz::DistributedRenderRun run =
+          viz::run_iso_app_distributed(s, cfg, 1, ranks, opts);
+      ASSERT_TRUE(run.ok) << run.error;
 
-      viz::DistributedRunOptions cp;
-      cp.timeout_s = kGroupTimeout;
-      cp.copy_payloads = true;  // legacy deep-copy baseline
-      const viz::DistributedRenderRun crun =
-          viz::run_iso_app_distributed(s, cfg, 1, ranks, cp);
-      ASSERT_TRUE(crun.ok) << crun.error;
-
-      // Both paths match the native engine — and therefore each other.
-      EXPECT_EQ(zrun.digests, nat.sink->digests);
-      EXPECT_EQ(crun.digests, nat.sink->digests);
-      ASSERT_EQ(zrun.images.size(), crun.images.size());
-      for (std::size_t u = 0; u < zrun.images.size(); ++u) {
-        EXPECT_EQ(zrun.images[u], crun.images[u]) << "uow " << u;
+      EXPECT_EQ(run.digests, nat.sink->digests);
+      ASSERT_EQ(run.images.size(), nat.sink->images.size());
+      for (std::size_t u = 0; u < run.images.size(); ++u) {
+        EXPECT_EQ(run.images[u], nat.sink->images[u]) << "uow " << u;
       }
-      // Ledgers too: zero-copy must not change what flowed, only how.
-      ASSERT_EQ(zrun.metrics.streams.size(), crun.metrics.streams.size());
-      for (std::size_t i = 0; i < zrun.metrics.streams.size(); ++i) {
-        EXPECT_EQ(zrun.metrics.streams[i].buffers,
-                  crun.metrics.streams[i].buffers)
-            << zrun.metrics.streams[i].name;
-        EXPECT_EQ(zrun.metrics.streams[i].payload_bytes,
-                  crun.metrics.streams[i].payload_bytes)
-            << zrun.metrics.streams[i].name;
+      // Ledgers too: the wire must not change what flowed, only how.
+      ASSERT_EQ(run.metrics.streams.size(), nat.metrics.streams.size());
+      for (std::size_t i = 0; i < run.metrics.streams.size(); ++i) {
+        EXPECT_EQ(run.metrics.streams[i].name, nat.metrics.streams[i].name);
+        EXPECT_EQ(run.metrics.streams[i].buffers,
+                  nat.metrics.streams[i].buffers)
+            << nat.metrics.streams[i].name;
+        EXPECT_EQ(run.metrics.streams[i].payload_bytes,
+                  nat.metrics.streams[i].payload_bytes)
+            << nat.metrics.streams[i].name;
       }
     }
   }

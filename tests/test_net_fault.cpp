@@ -1,21 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -189,6 +195,10 @@ struct ChildParams {
   double peer_timeout_s = 2.0;
   bool replace_dead = false;
   std::string dir;
+  /// Test hooks, called with (rank, uow): before each run_uow, and from the
+  /// filter factories while the engine builds that UOW.
+  std::function<void(int, int)> before_uow;
+  std::function<void(int, int)> on_build;
 };
 
 int stamped_rank_main(net::RankEnv& env, const ChildParams& pp) {
@@ -202,9 +212,14 @@ int stamped_rank_main(net::RankEnv& env, const ChildParams& pp) {
 
   core::Graph g;
   const int buffers = pp.buffers;
-  const int src = g.add_source(
-      "src", [buffers] { return std::make_unique<StampedSource>(buffers); });
+  const int rank = env.rank;
+  const std::function<void(int, int)> on_build = pp.on_build;
+  const int src = g.add_source("src", [=] {
+    if (on_build) on_build(rank, *cur_uow);
+    return std::make_unique<StampedSource>(buffers);
+  });
   const int wrk = g.add_filter("work", [=] {
+    if (on_build) on_build(rank, *cur_uow);
     return std::make_unique<NetWorker>(stamps, mu, cur_uow, cell);
   });
   g.connect(src, 0, wrk, 0);
@@ -227,6 +242,7 @@ int stamped_rank_main(net::RankEnv& env, const ChildParams& pp) {
   std::vector<net::UowResult> results;
   for (int u = 0; u < pp.uows; ++u) {
     *cur_uow = u;
+    if (pp.before_uow) pp.before_uow(env.rank, u);
     results.push_back(eng.run_uow());
     if (results.back().status == net::RunStatus::kTransportError) break;
   }
@@ -454,9 +470,19 @@ TEST(NetFault, CleanRunUnderFaultToleranceIsComplete) {
 // ---------------------------------------------------------------------------
 
 TEST(NetFault, KillOneOfFourRanksMidUowMatchesSimulatorGoldens) {
-  constexpr int kRanks = 4, kUows = 3, kVictim = 2, kKillAfter = 5;
+  constexpr int kRanks = 4, kUows = 3;
   for (core::Policy pol : kPolicies) {
     SCOPED_TRACE(policy_name(pol));
+    // RR and WRR give every worker a fixed share, so the victim's 5th buffer
+    // always lands in UOW 0. DD routes around a slow worker once its first
+    // window is out, so a later count may only be reached in UOW 1; the one
+    // DD pick that never depends on timing is the UOW's first buffer (all
+    // counts tie and no copy shares the source's rank, so the first copy set
+    // wins), so the DD victim is that copy's rank and dies at its first
+    // buffer.
+    const bool dd = pol == core::Policy::kDemandDriven;
+    const int kVictim = dd ? 1 : 2;
+    const int kKillAfter = dd ? 1 : 5;
     TempDir dir;
     ChildParams pp;
     pp.policy = pol;
@@ -566,6 +592,94 @@ TEST(NetFault, KillBetweenDoneAndNextUowKeepsPreviousUowClean) {
 }
 
 // ---------------------------------------------------------------------------
+// Kill while the survivors build the next UOW: they took the admission
+// census with the victim alive and learn of its death before they publish
+// the UOW's structures. Its copy sets must still fail over before the first
+// buffer — otherwise the source stalls on windows toward the dead rank
+// until the settle timeout turns the UOW into a transport error.
+//
+// Ordering: the victim holds a file lock from UOW 0 on; in UOW 1 every
+// survivor marks that it is inside its filter factory (inside the build)
+// and blocks on the lock, which the victim's death releases; the victim
+// enters UOW 1 (and is killed there) only once both marks exist. The pause
+// after the lock lets the receive thread see the close before the build
+// ends; should it see it later, the death is an ordinary mid-UOW one and
+// the asserts hold all the same.
+// ---------------------------------------------------------------------------
+
+TEST(NetFault, KillWhileSurvivorsBuildUowFailsOverBeforeWorkersRun) {
+  constexpr int kRanks = 3, kUows = 3, kVictim = 2;
+  TempDir dir;
+  const std::string lock_path = dir.path + "/victim.lock";
+  const auto mark_path = [&dir](int rank) {
+    return dir.path + "/building" + std::to_string(rank);
+  };
+  ChildParams pp;
+  pp.policy = core::Policy::kRoundRobin;
+  pp.uows = kUows;
+  pp.dir = dir.path;
+  pp.before_uow = [&](int rank, int uow) {
+    if (rank != kVictim) return;
+    if (uow == 0) {
+      // Held until the process dies (the descriptor is never closed).
+      const int fd = ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0600);
+      if (fd < 0 || ::flock(fd, LOCK_EX) != 0) std::_Exit(20);
+    } else if (uow == 1) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      for (int r = 0; r < kRanks; ++r) {
+        if (r == kVictim) continue;
+        while (!std::filesystem::exists(mark_path(r))) {
+          if (std::chrono::steady_clock::now() > deadline) std::_Exit(21);
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+    }
+  };
+  pp.on_build = [&](int rank, int uow) {
+    if (rank == kVictim || uow != 1) return;
+    std::ofstream(mark_path(rank)).put('1');
+    const int fd = ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0600);
+    if (fd < 0 || ::flock(fd, LOCK_EX) != 0) std::_Exit(22);
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  };
+  net::FaultHarness h(net::LaunchOptions{/*timeout_s=*/90.0});
+  h.kill_rank(kVictim, net::FaultTrigger::kUow, 1);
+  const auto st = h.run(
+      kRanks, [&pp](net::RankEnv& env) { return stamped_rank_main(env, pp); });
+
+  EXPECT_EQ(st[kVictim].term_signal, SIGKILL);
+  EXPECT_EQ(st[kVictim].faults_injected, 1);
+  std::vector<RankReport> reps;
+  for (int r = 0; r < kRanks; ++r) {
+    if (r == kVictim) continue;
+    ASSERT_TRUE(st[static_cast<std::size_t>(r)].ok())
+        << "rank " << r
+        << " stderr: " << st[static_cast<std::size_t>(r)].stderr_output;
+    reps.push_back(read_report(dir.path, r));
+    ASSERT_TRUE(reps.back().present) << "rank " << r;
+  }
+  const auto golden = sim_goldens(core::Policy::kRoundRobin, kRanks, kUows,
+                                  kBuffers, {{1, kVictim}});
+  for (const RankReport& rep : reps) {
+    ASSERT_EQ(rep.uows.size(), static_cast<std::size_t>(kUows));
+    EXPECT_EQ(rep.uows[0].run_status, 0);
+    expect_outcome_eq(rep.uows[0].outcome, golden[0], "uow 0");
+    // UOW 1 completes degraded instead of timing out.
+    EXPECT_EQ(rep.uows[1].run_status, 0);
+    EXPECT_EQ(rep.uows[1].outcome.status, core::UowStatus::kDegraded);
+    EXPECT_EQ(rep.uows[1].outcome.failovers, 1u);
+    EXPECT_EQ(rep.uows[2].run_status, 0);
+    expect_outcome_eq(rep.uows[2].outcome, golden[2], "uow 2");
+    EXPECT_EQ(rep.hosts_failed, 1u);
+  }
+  // The victim never processed a UOW 1 buffer: the survivors hold them all.
+  EXPECT_EQ(stamp_union(reps, 1), all_stamps(kBuffers));
+  EXPECT_EQ(stamp_union(reps, 2), all_stamps(kBuffers));
+}
+
+// ---------------------------------------------------------------------------
 // Double kill across consecutive UOWs: one rank dies mid-UOW 0, another at
 // its UOW-1 entry. UOW 1 books both failovers; UOW 2 and 3 settle into the
 // simulator's steady degraded state (and equal each other exactly).
@@ -579,7 +693,9 @@ TEST(NetFault, DoubleKillAcrossConsecutiveUows) {
   pp.uows = kUows;
   pp.dir = dir.path;
   net::FaultHarness h(net::LaunchOptions{/*timeout_s=*/120.0});
-  h.kill_rank(1, net::FaultTrigger::kBuffers, 5);
+  // Rank 1 holds the first worker copy, which DD hands the UOW's first
+  // buffer whatever the timing; later buffers may route around it.
+  h.kill_rank(1, net::FaultTrigger::kBuffers, 1);
   h.kill_rank(2, net::FaultTrigger::kUow, 1);
   const auto st = h.run(
       kRanks, [&pp](net::RankEnv& env) { return stamped_rank_main(env, pp); });
@@ -726,7 +842,9 @@ TEST(NetFault, KillDuringMeshHandshakeFailsStructured) {
 // ---------------------------------------------------------------------------
 
 TEST(NetFault, ReplaceDeadRehostsCopiesAtNextUow) {
-  constexpr int kRanks = 4, kUows = 3, kVictim = 2;
+  // The victim holds the first worker copy, which DD hands the UOW's first
+  // buffer whatever the timing, so the kill always lands in UOW 0.
+  constexpr int kRanks = 4, kUows = 3, kVictim = 1;
   TempDir dir;
   ChildParams pp;
   pp.policy = core::Policy::kDemandDriven;
@@ -734,7 +852,7 @@ TEST(NetFault, ReplaceDeadRehostsCopiesAtNextUow) {
   pp.replace_dead = true;
   pp.dir = dir.path;
   net::FaultHarness h(net::LaunchOptions{/*timeout_s=*/90.0});
-  h.kill_rank(kVictim, net::FaultTrigger::kBuffers, 5);
+  h.kill_rank(kVictim, net::FaultTrigger::kBuffers, 1);
   const auto st = h.run(
       kRanks, [&pp](net::RankEnv& env) { return stamped_rank_main(env, pp); });
 

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -14,6 +15,9 @@
 #include "io/chunk_store.hpp"
 #include "io/format.hpp"
 #include "io/reader.hpp"
+#include "net/distributed.hpp"
+#include "net/process.hpp"
+#include "net/transport.hpp"
 #include "obs/chrome.hpp"
 #include "obs/json.hpp"
 #include "obs/recorder.hpp"
@@ -93,11 +97,14 @@ void build_pipeline(core::Graph& g, core::Placement& p) {
 }
 
 /// Normalizes a session: per-track sections in label order, "<kind> <name>"
-/// lines in seq order, minus `excluded` tags.
+/// lines in seq order, minus `excluded` tags; only tracks whose label starts
+/// with `prefix`.
 std::string normalize(const obs::TraceSession& session,
-                      const std::set<std::string>& excluded = {}) {
+                      const std::set<std::string>& excluded = {},
+                      const std::string& prefix = "") {
   std::ostringstream out;
   for (const obs::Track* tk : session.tracks()) {
+    if (tk->label().rfind(prefix, 0) != 0) continue;
     out << "== " << tk->label() << '\n';
     for (const obs::Event& e : tk->events()) {
       if (excluded.count(e.name) != 0) continue;
@@ -167,6 +174,70 @@ TEST(ObsGolden, NativeEventStreamMatchesGolden) {
   // scheduling, so their counts vary run to run. Everything else is exact.
   check_against_golden(normalize(session, {"stall", "push.wait"}),
                        "obs_native_trace.txt");
+}
+
+// Trace parity: the same pipeline on 3 processes, one filter per rank. The
+// distributed workers run the native executor, so the union of the ranks'
+// exec: tracks must be exactly the native golden — the same spans, instants,
+// and order, with only the timing-dependent tags excluded. The parent forks
+// the ranks, so it stays single-threaded (each engine above joined its
+// threads before returning).
+TEST(ObsGolden, DistributedRanksReproduceNativeGolden) {
+  const fs::path dir = fs::temp_directory_path() / "dc_obs_rank_traces";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto statuses = net::run_local_ranks(
+      3,
+      [&dir](net::RankEnv& env) {
+        std::vector<net::Socket> peers = net::connect_mesh(env, 30.0);
+        env.listener.close();
+        core::Graph g;
+        core::Placement p;
+        build_pipeline(g, p);
+        core::RuntimeConfig cfg;
+        cfg.policy = core::Policy::kDemandDriven;
+        obs::TraceSession session;
+        {
+          net::DistributedEngine eng(g, p, cfg, env.rank, env.num_ranks,
+                                     std::move(peers));
+          eng.set_obs(&session);
+          if (!eng.run_uow().ok()) return 2;
+        }
+        std::ofstream out(dir / ("rank" + std::to_string(env.rank) + ".txt"));
+        out << normalize(session, {"stall", "push.wait"}, "exec:");
+        return out.good() ? 0 : 3;
+      },
+      net::LaunchOptions{/*timeout_s=*/60.0});
+  for (std::size_t r = 0; r < statuses.size(); ++r) {
+    ASSERT_TRUE(statuses[r].ok())
+        << "rank " << r << " exit " << statuses[r].exit_code << ": "
+        << statuses[r].stderr_output;
+  }
+
+  // Union of the ranks' sections, in label order like one session's.
+  std::map<std::string, std::string> sections;
+  for (int r = 0; r < 3; ++r) {
+    std::ifstream in(dir / ("rank" + std::to_string(r) + ".txt"));
+    std::string line;
+    std::string* body = nullptr;
+    while (std::getline(in, line)) {
+      if (line.rfind("== ", 0) == 0) {
+        body = &sections[line];
+        continue;
+      }
+      ASSERT_NE(body, nullptr) << "event outside a track section";
+      *body += line + '\n';
+    }
+  }
+  fs::remove_all(dir);
+  std::string merged;
+  for (const auto& [label, body] : sections) merged += label + '\n' + body;
+
+  std::ifstream golden(std::string(DC_TEST_DIR) + "/golden/obs_native_trace.txt");
+  ASSERT_TRUE(golden.good());
+  std::stringstream expected;
+  expected << golden.rdbuf();
+  EXPECT_EQ(merged, expected.str());
 }
 
 TEST(ObsGolden, SimulatorStreamIsReproducible) {

@@ -6,14 +6,15 @@
 #include <limits>
 
 #include "core/metrics.hpp"
-#include "exec/metrics.hpp"
+#include "exec/engine.hpp"
 #include "io/metrics.hpp"
 #include "obs/json.hpp"
 
 // MetricsRegistry semantics (typed cells, deterministic key-sorted JSON),
 // the strict JSON helper it exports through, and the publish() bridges that
-// make all three legacy metrics surfaces (core::Metrics, exec::Metrics,
-// io::IoMetrics) reachable through one MetricsRegistry::to_json().
+// make the legacy metrics surfaces (core::Metrics through core::publish and
+// exec::publish, io::IoMetrics) reachable through one
+// MetricsRegistry::to_json().
 
 namespace dc::obs {
 namespace {
@@ -179,15 +180,15 @@ TEST(Publish, CoreMetricsReachTheRegistry) {
 }
 
 TEST(Publish, ExecMetricsReachTheRegistry) {
-  exec::Metrics m;
+  core::Metrics m;
   m.makespan = 0.25;
   m.acks_total = 5;
-  exec::InstanceMetrics a;
+  core::InstanceMetrics a;
   a.buffers_out = 9;
   a.bytes_out = 900;
   a.queue_wait_time = 0.125;
   m.instances = {a};
-  exec::StreamMetrics st;
+  core::StreamMetrics st;
   st.name = "RE->Ra";
   st.buffers = 9;
   st.payload_bytes = 900;
@@ -231,7 +232,7 @@ TEST(Publish, IoMetricsReachTheRegistry) {
 TEST(Publish, AllThreeSurfacesShareOneJsonExport) {
   MetricsRegistry reg;
   core::publish(core::Metrics{}, reg);
-  exec::publish(exec::Metrics{}, reg);
+  exec::publish(core::Metrics{}, reg);
   io::publish(io::IoMetrics{}, reg);
   json::Value v;
   std::string err;
