@@ -282,16 +282,6 @@ int Runtime::total_copies(int filter) const {
   return placement_.total_copies(filter);
 }
 
-void Runtime::emit_trace(const char* tag, const Instance& inst,
-                         const std::string& detail) {
-  if (!trace_.enabled()) return;
-  trace_.emit(topo_.sim().now(), tag,
-              graph_.filter(inst.filter).name + "#" +
-                  std::to_string(inst.index) + "@h" +
-                  std::to_string(inst.cset->host) +
-                  (detail.empty() ? "" : " " + detail));
-}
-
 obs::Track* Runtime::obs_track(Instance& inst) {
   if (obs_ == nullptr) return nullptr;
   if (inst.otrack == nullptr) {
@@ -611,7 +601,6 @@ void Runtime::try_consume(Instance& inst) {
   inst.state = Instance::State::kBusy;  // guard against reentrant wakeups
   inst.m.buffers_in++;
   inst.m.bytes_in += d.buf.size();
-  emit_trace("consume", inst, std::to_string(d.buf.size()) + "B");
   if (auto* tk = obs_track(inst)) {
     tk->instant(topo_.sim().now(), "consume",
                 static_cast<std::int64_t>(d.buf.size()), port);
@@ -649,7 +638,6 @@ void Runtime::try_consume(Instance& inst) {
 }
 
 void Runtime::begin_eow(Instance& inst) {
-  emit_trace("eow", inst, "");
   if (auto* tk = obs_track(inst)) tk->instant(topo_.sim().now(), "eow");
   inst.eow_executed = true;
   inst.state = Instance::State::kBusy;
@@ -675,8 +663,6 @@ void Runtime::drain(Instance& inst) {
   if (inst.state != Instance::State::kDraining) return;
   while (!inst.pending.empty()) {
     if (!dispatch_one(inst)) {
-      emit_trace("stall", inst,
-                 std::to_string(inst.pending.size()) + " pending");
       if (auto* tk = obs_track(inst)) {
         tk->instant(topo_.sim().now(), "stall",
                     static_cast<std::int64_t>(inst.pending.size()));
@@ -729,9 +715,10 @@ bool Runtime::dispatch_one(Instance& inst) {
     }
     if (!any_live) {
       metrics_.faults.buffers_lost++;
-      emit_trace("drop", inst,
-                 wq.stream->spec->name + " all targets dead, " +
-                     std::to_string(out.buf.size()) + "B");
+      if (auto* tk = obs_track(inst)) {
+        tk->instant(topo_.sim().now(), "drop",
+                    static_cast<std::int64_t>(out.buf.size()), out.port);
+      }
       inst.pending.pop_front();
       return true;
     }
@@ -775,9 +762,6 @@ bool Runtime::dispatch_one(Instance& inst) {
   const int out_port = out.port;
   inst.pending.pop_front();  // `out` is dangling from here on
 
-  emit_trace("dispatch", inst,
-             w.stream->spec->name + " -> h" + std::to_string(cset->host));
-
   const std::uint64_t msg_bytes = d.buf.size() + config_.header_bytes;
   // Move the delivery through the network; it lands in the copy set queue.
   auto shared = std::make_shared<Delivery>(std::move(d));
@@ -792,10 +776,9 @@ void Runtime::deliver(CopySet& cset, Delivery d) {
     // A delivery that raced the failure (sent before the crash was seen, or
     // to a fenced set). Drop it without releasing the producer's window —
     // the failover reclaim settles the accounting exactly once.
-    if (trace_.enabled()) {
-      trace_.emit(topo_.sim().now(), "drop",
-                  "h" + std::to_string(cset.host) + " dead, " +
-                      std::to_string(d.buf.size()) + "B");
+    if (auto* tk = obs_track(*d.producer)) {
+      tk->instant(topo_.sim().now(), "drop.raced",
+                  static_cast<std::int64_t>(d.buf.size()), cset.host);
     }
     return;
   }
@@ -823,7 +806,6 @@ void Runtime::on_eow_marker(CopySet& cset, int in_port) {
 }
 
 void Runtime::finish_instance(Instance& inst) {
-  emit_trace("finish", inst, "");
   if (auto* tk = obs_track(inst)) tk->instant(topo_.sim().now(), "finish");
   inst.charged_ops = 0.0;
   inst.user->finalize(*inst.ctx);
@@ -869,11 +851,8 @@ void Runtime::on_ack(Instance& producer, int out_port, int target) {
       // The ack raced the failover: its buffer was already reclaimed and
       // retransmitted elsewhere, so a consumer may process it twice.
       metrics_.faults.buffers_duplicated++;
-      if (trace_.enabled()) {
-        trace_.emit(topo_.sim().now(), "dup-ack",
-                    graph_.filter(producer.filter).name + "#" +
-                        std::to_string(producer.index) + " <- h" +
-                        std::to_string(cs.host));
+      if (auto* tk = obs_track(producer)) {
+        tk->instant(topo_.sim().now(), "dup.ack", cs.host);
       }
       return;
     }
@@ -939,10 +918,8 @@ void Runtime::fail_copyset(CopySet& cset) {
     metrics_.faults.recovery_latency_max =
         std::max(metrics_.faults.recovery_latency_max, lat);
   }
-  if (trace_.enabled()) {
-    trace_.emit(now, "failover",
-                graph_.filter(cset.filter).name + "@h" +
-                    std::to_string(cset.host));
+  if (obs_ != nullptr) {
+    obs_->track("sim:faults").instant(now, "failover", cset.filter, cset.host);
   }
   // Fence any copies that are still nominally alive (partition case).
   for (Instance* c : cset.copies) kill_instance(*c);
@@ -976,7 +953,7 @@ void Runtime::kill_instance(Instance& inst) {
   // Outputs it produced but never dispatched are gone for good.
   metrics_.faults.buffers_lost += inst.pending.size();
   inst.pending.clear();
-  emit_trace("copy-dead", inst, "");
+  if (auto* tk = obs_track(inst)) tk->instant(now, "copy.dead");
   int& live = live_copies_[static_cast<std::size_t>(inst.filter)];
   if (--live == 0) dead_filters_.push_back(inst.filter);
   // Settle its end-of-work obligations: every consumer copy set was
@@ -1009,9 +986,10 @@ void Runtime::reclaim_outstanding(Instance& inst, int out_port, int target) {
       static_cast<std::uint64_t>(w.in_flight[static_cast<std::size_t>(target)]);
   if (!ft.outstanding.empty()) {
     metrics_.faults.retransmits += ft.outstanding.size();
-    emit_trace("retransmit", inst,
-               std::to_string(ft.outstanding.size()) + " to " +
-                   w.stream->spec->name);
+    if (auto* tk = obs_track(inst)) {
+      tk->instant(topo_.sim().now(), "retransmit",
+                  static_cast<std::int64_t>(ft.outstanding.size()), out_port);
+    }
     // Requeue at the front, oldest first, so retransmissions precede any
     // fresh output the copy produces later.
     for (auto it = ft.outstanding.rbegin(); it != ft.outstanding.rend(); ++it) {

@@ -11,7 +11,6 @@
 #include "core/policy.hpp"
 #include "obs/recorder.hpp"
 #include "sim/cluster.hpp"
-#include "sim/trace.hpp"
 
 namespace dc::core {
 
@@ -109,18 +108,23 @@ class Runtime {
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   void reset_metrics();
 
-  /// Optional event trace (disabled by default): records `dispatch`,
-  /// `deliver`, `consume`, `stall`, `eow`, and `finish` events with filter /
-  /// copy / host detail. Enable via `trace().enable()` before run_uow().
-  [[nodiscard]] sim::Trace& trace() { return trace_; }
-
-  /// Attaches a cross-engine observability session (nullptr detaches). Each
-  /// transparent copy gets a "sim:<filter>#<copy>@h<host>" track carrying
-  /// init/compute spans, consume / eow / finish / policy.pick instants and
-  /// DD ack events — all stamped in VIRTUAL seconds, so a simulated run
-  /// renders on the same Perfetto timeline as a native one (obs maps both
-  /// onto Chrome trace time). The session must outlive every run_uow() call;
-  /// detached (the default), each emit site costs one pointer null check.
+  /// Attaches a cross-engine observability session (nullptr detaches); this
+  /// is the simulator's only tracer. Each transparent copy gets a
+  /// "sim:<filter>#<copy>@h<host>" track carrying init/compute spans and
+  /// these instants (args in parentheses):
+  ///   consume (bytes, port), dd.ack (ack bytes, target), stall (pending),
+  ///   policy.pick (target, outstanding), eow, finish;
+  ///   with fault tolerance: drop (bytes, port) when every target is dead,
+  ///   drop.raced (bytes, destination host) when a delivery raced the
+  ///   failure, dup.ack (host), retransmit (count, port) on the producer,
+  ///   and copy.dead on the copy itself.
+  /// Copy-set failovers go to the shared "sim:faults" track as
+  /// failover (filter id, host); arm a sim::FaultPlan on the same track to
+  /// interleave the injected faults. Everything is stamped in VIRTUAL
+  /// seconds, so a simulated run renders on the same Perfetto timeline as a
+  /// native one (obs maps both onto Chrome trace time). The session must
+  /// outlive every run_uow() call; detached (the default), each emit site
+  /// costs one pointer null check.
   void set_obs(obs::TraceSession* session) { obs_ = session; }
   [[nodiscard]] obs::TraceSession* obs() const { return obs_; }
 
@@ -199,10 +203,8 @@ class Runtime {
 
   Metrics metrics_;
   sim::Rng base_rng_;
-  sim::Trace trace_;
   obs::TraceSession* obs_ = nullptr;
 
-  void emit_trace(const char* tag, const Instance& inst, const std::string& detail);
   /// Lazily creates the instance's obs track; nullptr when no session is
   /// attached.
   obs::Track* obs_track(Instance& inst);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/recorder.hpp"
+
 namespace dc::sim {
 
 std::string_view to_string(FaultKind k) {
@@ -140,29 +142,20 @@ FaultPlan FaultPlan::sample(const FaultModel& model, std::uint64_t seed,
   return plan;
 }
 
-std::string FaultPlan::describe(const FaultEvent& e) {
-  std::string s(to_string(e.kind));
-  s += " h" + std::to_string(e.host);
-  switch (e.kind) {
-    case FaultKind::kDiskSlowdown:
-      s += " d" + std::to_string(e.disk) + " x" + std::to_string(e.factor);
-      break;
-    case FaultKind::kDiskStall:
-      s += " d" + std::to_string(e.disk) + " " + std::to_string(e.duration) + "s";
-      break;
-    case FaultKind::kLinkDegrade:
-      s += " x" + std::to_string(e.factor);
-      break;
-    case FaultKind::kBackgroundLoad:
-      s += " jobs=" + std::to_string(e.jobs);
-      break;
-    default:
-      break;
+void FaultPlan::arm(Topology& topo, obs::Track* track) const {
+  // Validate everything before scheduling anything: a plan that throws must
+  // leave the simulation untouched, not half armed.
+  for (const FaultEvent& e : events_) {
+    if (e.host < 0 || e.host >= topo.size()) {
+      throw std::invalid_argument("FaultPlan::arm: host out of range");
+    }
+    const bool disk_kind = e.kind == FaultKind::kDiskSlowdown ||
+                           e.kind == FaultKind::kDiskStall;
+    if (disk_kind && (e.disk < 0 || e.disk >= topo.host(e.host).num_disks())) {
+      throw std::invalid_argument("FaultPlan::arm: disk out of range");
+    }
   }
-  return s;
-}
 
-void FaultPlan::arm(Topology& topo, Trace* trace) const {
   // Sort by (time, insertion order) so equal-time events apply in the order
   // the plan listed them — the schedule stays deterministic either way, but
   // this keeps the applied order independent of builder-call interleaving.
@@ -172,11 +165,12 @@ void FaultPlan::arm(Topology& topo, Trace* trace) const {
 
   Simulation& sim = topo.sim();
   for (const FaultEvent& e : sorted) {
-    if (e.host < 0 || e.host >= topo.size()) {
-      throw std::invalid_argument("FaultPlan::arm: host out of range");
-    }
-    auto apply = [&topo, trace, e] {
-      if (trace) trace->emit(topo.sim().now(), "fault", describe(e));
+    auto apply = [&topo, track, e] {
+      if (track) {
+        // to_string() views a literal, so data() is a static C string.
+        track->instant(topo.sim().now(), to_string(e.kind).data(), e.host,
+                       e.disk);
+      }
       switch (e.kind) {
         case FaultKind::kHostCrash:
           topo.fail_host(e.host);
@@ -203,11 +197,10 @@ void FaultPlan::arm(Topology& topo, Trace* trace) const {
 
     if (e.duration > 0.0 && e.kind != FaultKind::kDiskStall &&
         e.kind != FaultKind::kHostCrash) {
-      auto revert = [&topo, trace, e] {
-        if (trace) {
-          trace->emit(topo.sim().now(), "heal",
-                      std::string(to_string(e.kind)) + " h" +
-                          std::to_string(e.host));
+      auto revert = [&topo, track, e] {
+        if (track) {
+          track->instant(topo.sim().now(), "heal", e.host,
+                         static_cast<std::int64_t>(e.kind));
         }
         switch (e.kind) {
           case FaultKind::kDiskSlowdown:

@@ -1,13 +1,16 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/cluster.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
+
+namespace dc::obs {
+class Track;
+}  // namespace dc::obs
 
 namespace dc::sim {
 
@@ -90,16 +93,17 @@ class FaultPlan {
                                         std::uint64_t seed, int num_hosts);
 
   /// Schedules every event (and its revert, for transient faults) on
-  /// `topo.sim()`. If `trace` is non-null, a `fault` record is emitted as
-  /// each event is applied. The plan must outlive... nothing: events capture
-  /// copies. `topo` (and `trace`) must outlive the scheduled events.
-  void arm(Topology& topo, Trace* trace = nullptr) const;
+  /// `topo.sim()`. The whole plan is validated first (host in range; disk
+  /// index in range for the disk kinds), so a bad plan throws
+  /// std::invalid_argument having scheduled nothing. If `track` is non-null,
+  /// each applied event records an instant named after its kind (args: host,
+  /// disk) and each revert a `heal` instant (args: host, kind), stamped in
+  /// virtual seconds. Events capture copies, so the plan need not outlive
+  /// them; `topo` (and `track`) must.
+  void arm(Topology& topo, obs::Track* track = nullptr) const;
 
   [[nodiscard]] const std::vector<FaultEvent>& events() const { return events_; }
   [[nodiscard]] bool empty() const { return events_.empty(); }
-
-  /// Human-readable one-liner for one event (used for trace records).
-  [[nodiscard]] static std::string describe(const FaultEvent& e);
 
  private:
   std::vector<FaultEvent> events_;

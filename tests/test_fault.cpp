@@ -3,8 +3,11 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "core/runtime.hpp"
+#include "obs/recorder.hpp"
 #include "sim/fault.hpp"
 #include "test_util.hpp"
 
@@ -441,16 +444,52 @@ TEST(FaultSim, ArmedPlanEmitsFaultTraceRecords) {
   sim::Simulation s;
   sim::Topology topo(s);
   test::add_plain_nodes(topo, 2);
-  sim::Trace trace;
-  trace.enable();
+  obs::TraceSession session;
+  obs::Track& faults = session.track("sim:faults");
   sim::FaultPlan plan;
   plan.crash_host(0.1, 0).slow_disk(0.2, 1, 0, 4.0, 0.1);
-  plan.arm(topo, &trace);
+  plan.arm(topo, &faults);
   s.run();
-  EXPECT_EQ(trace.count("fault"), 2u);
-  EXPECT_EQ(trace.count("heal"), 1u);
+  const std::vector<obs::Event> ev = faults.events();
+  ASSERT_EQ(ev.size(), 3u);  // 2 faults, 1 heal
+  EXPECT_STREQ(ev[0].name, "host-crash");
+  EXPECT_EQ(ev[0].a0, 0);
+  EXPECT_DOUBLE_EQ(ev[0].t, 0.1);
+  EXPECT_STREQ(ev[1].name, "disk-slowdown");
+  EXPECT_EQ(ev[1].a0, 1);
+  EXPECT_EQ(ev[1].a1, 0);
+  EXPECT_STREQ(ev[2].name, "heal");
+  EXPECT_EQ(ev[2].a0, 1);
+  EXPECT_EQ(ev[2].a1, static_cast<std::int64_t>(sim::FaultKind::kDiskSlowdown));
+  EXPECT_DOUBLE_EQ(ev[2].t, 0.3);
   EXPECT_FALSE(topo.host(0).alive());
   EXPECT_DOUBLE_EQ(topo.host(1).disk(0).slowdown(), 1.0);  // reverted
+}
+
+TEST(FaultSim, ArmRejectsOutOfRangeHostWithoutSchedulingAny) {
+  sim::Simulation s;
+  sim::Topology topo(s);
+  test::add_plain_nodes(topo, 2);
+  sim::FaultPlan plan;
+  plan.crash_host(0.1, 0).crash_host(0.2, 7);
+  EXPECT_THROW(plan.arm(topo), std::invalid_argument);
+  EXPECT_TRUE(s.idle());
+  s.run();
+  EXPECT_TRUE(topo.host(0).alive());  // the valid first event never armed
+}
+
+TEST(FaultSim, ArmRejectsOutOfRangeDiskWithoutSchedulingAny) {
+  sim::Simulation s;
+  sim::Topology topo(s);
+  test::add_plain_nodes(topo, 2);
+  sim::FaultPlan plan;
+  plan.slow_disk(0.1, 0, /*disk=*/5, 2.0);
+  EXPECT_THROW(plan.arm(topo), std::invalid_argument);
+  EXPECT_TRUE(s.idle());
+  sim::FaultPlan stall;
+  stall.stall_disk(0.1, 1, /*disk=*/1, 0.5);
+  EXPECT_THROW(stall.arm(topo), std::invalid_argument);
+  EXPECT_TRUE(s.idle());
 }
 
 }  // namespace

@@ -1,137 +1,92 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/runtime.hpp"
+#include "golden_util.hpp"
+#include "obs/recorder.hpp"
 #include "sim/fault.hpp"
 #include "test_util.hpp"
 
-// Golden-trace regression tests: a fixed pipeline's event trace — with and
-// without a mid-run host crash — is compared line-by-line against a
-// checked-in golden file. Times are stripped (the event *order* is the
-// contract; makespans are covered elsewhere), so the normalized trace is the
-// sequence of "tag detail" lines.
+// Golden-trace regression tests: a fixed two-copy pipeline's obs event
+// stream — with and without a mid-run host crash — is compared line by line
+// against a checked-in golden file. Every sim: track is merged by seq into
+// one global order, one "<track> <kind> <name> <a0> <a1>" line per event.
+// Times are stripped (the event *order* is the contract; makespans are
+// covered elsewhere); args stay in because the simulator is deterministic.
+// The faulted variant interleaves the sim:faults track.
 //
-// To regenerate after an intentional behavior change:
+// To regenerate after an intentional emit-site change:
 //   DC_UPDATE_GOLDEN=1 build/tests/test_golden_trace
 
-#ifndef DC_TEST_DIR
-#error "tests/CMakeLists.txt must define DC_TEST_DIR"
-#endif
-
-namespace dc::core {
+namespace dc {
 namespace {
 
-class BatchSource : public SourceFilter {
- public:
-  explicit BatchSource(int count) : count_(count) {}
-  bool step(FilterContext& ctx) override {
-    if (i_ >= count_) return false;
-    ctx.charge(50'000.0);
-    Buffer b = ctx.make_buffer(0);
-    for (int k = 0; k < 256; ++k) b.push(static_cast<std::uint32_t>(i_));
-    ctx.write(0, b);
-    ++i_;
-    return i_ < count_;
+/// Every sim: track merged into one seq-ordered stream, one
+/// "<track> <kind> <name> <a0> <a1>" line per event.
+std::string merge_sim_tracks(const obs::TraceSession& session) {
+  std::vector<std::pair<const obs::Track*, obs::Event>> merged;
+  for (const obs::Track* tk : session.tracks()) {
+    if (tk->label().rfind("sim:", 0) != 0) continue;
+    for (const obs::Event& e : tk->events()) merged.emplace_back(tk, e);
   }
-
- private:
-  int count_;
-  int i_ = 0;
-};
-
-class ForwardWorker : public Filter {
- public:
-  void process_buffer(FilterContext& ctx, int, const Buffer& buf) override {
-    ctx.charge(5e5);
-    ctx.write(0, buf);
-  }
-};
-
-class CountSink : public Filter {
- public:
-  void process_buffer(FilterContext& ctx, int, const Buffer&) override {
-    ctx.charge(100.0);
-  }
-};
-
-/// src(h0) -> work(h1, h2) -> sink(h0), demand-driven, 10 buffers. Returns
-/// the normalized (time-stripped) trace.
-std::string run_traced(bool with_crash) {
-  sim::Simulation s;
-  sim::Topology topo(s);
-  test::add_plain_nodes(topo, 3);
-  Graph g;
-  const int src =
-      g.add_source("src", [] { return std::make_unique<BatchSource>(10); });
-  const int wrk =
-      g.add_filter("work", [] { return std::make_unique<ForwardWorker>(); });
-  const int snk =
-      g.add_filter("sink", [] { return std::make_unique<CountSink>(); });
-  g.connect(src, 0, wrk, 0);
-  g.connect(wrk, 0, snk, 0);
-  Placement p;
-  p.place(src, 0).place(wrk, 1).place(wrk, 2).place(snk, 0);
-  RuntimeConfig cfg;
-  cfg.policy = Policy::kDemandDriven;
-  cfg.detection = FailureDetection::kMembership;
-  Runtime rt(topo, g, p, cfg);
-  rt.trace().enable();
-  sim::FaultPlan plan;
-  if (with_crash) {
-    plan.crash_host(0.004, 1);
-    plan.arm(topo, &rt.trace());
-  }
-  rt.run_uow_outcome();
-
+  std::sort(merged.begin(), merged.end(), [](const auto& a, const auto& b) {
+    return a.second.seq < b.second.seq;
+  });
   std::ostringstream out;
-  for (const auto& rec : rt.trace().records()) {
-    out << rec.tag << ' ' << rec.detail << '\n';
+  for (const auto& [tk, e] : merged) {
+    out << tk->label() << ' ' << to_string(e.kind) << ' ' << e.name << ' '
+        << e.a0 << ' ' << e.a1 << '\n';
   }
   return out.str();
 }
 
-void check_against_golden(const std::string& actual, const std::string& file) {
-  const std::string path = std::string(DC_TEST_DIR) + "/golden/" + file;
-  if (std::getenv("DC_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "golden file regenerated: " << path;
+/// src(h0) -> work(h1, h2) -> sink(h0), demand-driven with membership
+/// failure detection, 10 buffers; `with_crash` crashes h1 mid-run with the
+/// plan armed on the shared sim:faults track. Returns the merged sim stream.
+std::string run_traced(bool with_crash) {
+  sim::Simulation s;
+  sim::Topology topo(s);
+  test::add_plain_nodes(topo, 3);
+  core::Graph g;
+  const int src = g.add_source(
+      "src", [] { return std::make_unique<test::BatchSource>(10, 256); });
+  const int wrk = g.add_filter(
+      "work", [] { return std::make_unique<test::ForwardWorker>(); });
+  const int snk =
+      g.add_filter("sink", [] { return std::make_unique<test::CountSink>(); });
+  g.connect(src, 0, wrk, 0);
+  g.connect(wrk, 0, snk, 0);
+  core::Placement p;
+  p.place(src, 0).place(wrk, 1).place(wrk, 2).place(snk, 0);
+  core::RuntimeConfig cfg;
+  cfg.policy = core::Policy::kDemandDriven;
+  cfg.detection = core::FailureDetection::kMembership;
+  core::Runtime rt(topo, g, p, cfg);
+  obs::TraceSession session;
+  rt.set_obs(&session);
+  sim::FaultPlan plan;
+  if (with_crash) {
+    plan.crash_host(0.004, 1);
+    plan.arm(topo, &session.track("sim:faults"));
   }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path
-                         << " — regenerate with DC_UPDATE_GOLDEN=1";
-  std::stringstream expected;
-  expected << in.rdbuf();
-
-  // Report the first differing line, not a wall of text.
-  std::istringstream a(expected.str()), b(actual);
-  std::string ea, eb;
-  int line = 1;
-  while (true) {
-    const bool more_a = static_cast<bool>(std::getline(a, ea));
-    const bool more_b = static_cast<bool>(std::getline(b, eb));
-    if (!more_a && !more_b) break;
-    ASSERT_TRUE(more_a && more_b)
-        << file << ": trace length changed at line " << line << " (golden "
-        << (more_a ? "has more" : "ended") << ")";
-    ASSERT_EQ(ea, eb) << file << ": first difference at line " << line;
-    ++line;
-  }
+  rt.run_uow_outcome();
+  EXPECT_EQ(session.dropped_events(), 0u);
+  return merge_sim_tracks(session);
 }
 
 TEST(GoldenTrace, CleanPipelineMatchesGolden) {
-  check_against_golden(run_traced(false), "pipeline_trace.txt");
+  test::check_against_golden(run_traced(false), "pipeline_trace.txt");
 }
 
 TEST(GoldenTrace, FaultedPipelineMatchesGolden) {
-  check_against_golden(run_traced(true), "pipeline_fault_trace.txt");
+  test::check_against_golden(run_traced(true), "pipeline_fault_trace.txt");
 }
 
 }  // namespace
-}  // namespace dc::core
+}  // namespace dc

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -8,10 +7,12 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/runtime.hpp"
 #include "exec/engine.hpp"
+#include "golden_util.hpp"
 #include "io/chunk_store.hpp"
 #include "io/format.hpp"
 #include "io/reader.hpp"
@@ -27,14 +28,18 @@
 // Golden tests of the obs event stream on BOTH engines, plus structural
 // validation of the Chrome trace-event export.
 //
-// The goldens compare tags, kinds, and per-lane ordering — NEVER times and
-// never args (windows and wait durations are timing-dependent on the native
-// engine). The normalized form is one section per track (sorted by label,
-// which is stable: "sim:<filter>#<copy>@h<host>" / "exec:..."), each event
-// as "<kind> <name>" in seq order. On the native engine the timing-dependent
-// tags (stall, push.wait) are excluded; everything that remains — spans per
-// callback, one queue.wait per pop, consume/ack/policy.pick instants — has a
-// deterministic count and order for a single-copy pipeline.
+// The cross-engine goldens (obs_*_trace.txt) compare tags, kinds, and
+// per-lane ordering — NEVER times and never args (windows and wait durations
+// are timing-dependent on the native engine). Their normalized form is one
+// section per track (sorted by label, which is stable:
+// "sim:<filter>#<copy>@h<host>" / "exec:..."), each event as "<kind> <name>"
+// in seq order. On the native engine the timing-dependent tags (stall,
+// push.wait) are excluded; everything that remains — spans per callback, one
+// queue.wait per pop, consume/ack/policy.pick instants — has a deterministic
+// count and order for a single-copy pipeline.
+//
+// The simulator pipeline goldens (pipeline_*trace.txt) live in
+// test_golden_trace; both share golden_util.hpp.
 //
 // To regenerate after an intentional emit-site change:
 //   DC_UPDATE_GOLDEN=1 build/tests/test_obs_golden
@@ -48,49 +53,15 @@ namespace {
 
 namespace fs = std::filesystem;
 
-class BatchSource : public core::SourceFilter {
- public:
-  explicit BatchSource(int count) : count_(count) {}
-  bool step(core::FilterContext& ctx) override {
-    if (i_ >= count_) return false;
-    ctx.charge(50'000.0);
-    core::Buffer b = ctx.make_buffer(0);
-    for (int k = 0; k < 64; ++k) b.push(static_cast<std::uint32_t>(i_));
-    ctx.write(0, b);
-    ++i_;
-    return i_ < count_;
-  }
-
- private:
-  int count_;
-  int i_ = 0;
-};
-
-class ForwardWorker : public core::Filter {
- public:
-  void process_buffer(core::FilterContext& ctx, int,
-                      const core::Buffer& buf) override {
-    ctx.charge(5e5);
-    ctx.write(0, buf);
-  }
-};
-
-class CountSink : public core::Filter {
- public:
-  void process_buffer(core::FilterContext& ctx, int, const core::Buffer&) override {
-    ctx.charge(100.0);
-  }
-};
-
 /// src -> work -> sink, ONE copy each (single-copy keeps the native event
 /// stream deterministic: no cross-copy races in who consumes what).
 void build_pipeline(core::Graph& g, core::Placement& p) {
   const int src =
-      g.add_source("src", [] { return std::make_unique<BatchSource>(6); });
+      g.add_source("src", [] { return std::make_unique<test::BatchSource>(6); });
   const int wrk =
-      g.add_filter("work", [] { return std::make_unique<ForwardWorker>(); });
+      g.add_filter("work", [] { return std::make_unique<test::ForwardWorker>(); });
   const int snk =
-      g.add_filter("sink", [] { return std::make_unique<CountSink>(); });
+      g.add_filter("sink", [] { return std::make_unique<test::CountSink>(); });
   g.connect(src, 0, wrk, 0);
   g.connect(wrk, 0, snk, 0);
   p.place(src, 0).place(wrk, 1).place(snk, 2);
@@ -114,35 +85,6 @@ std::string normalize(const obs::TraceSession& session,
   return out.str();
 }
 
-void check_against_golden(const std::string& actual, const std::string& file) {
-  const std::string path = std::string(DC_TEST_DIR) + "/golden/" + file;
-  if (std::getenv("DC_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "golden file regenerated: " << path;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path
-                         << " — regenerate with DC_UPDATE_GOLDEN=1";
-  std::stringstream expected;
-  expected << in.rdbuf();
-
-  std::istringstream a(expected.str()), b(actual);
-  std::string ea, eb;
-  int line = 1;
-  while (true) {
-    const bool more_a = static_cast<bool>(std::getline(a, ea));
-    const bool more_b = static_cast<bool>(std::getline(b, eb));
-    if (!more_a && !more_b) break;
-    ASSERT_TRUE(more_a && more_b)
-        << file << ": stream length changed at line " << line << " (golden "
-        << (more_a ? "has more" : "ended") << ")";
-    ASSERT_EQ(ea, eb) << file << ": first difference at line " << line;
-    ++line;
-  }
-}
-
 TEST(ObsGolden, SimulatorEventStreamMatchesGolden) {
   sim::Simulation s;
   sim::Topology topo(s);
@@ -157,7 +99,7 @@ TEST(ObsGolden, SimulatorEventStreamMatchesGolden) {
   rt.set_obs(&session);
   rt.run_uow();
   // The simulator's stream is fully deterministic — nothing excluded.
-  check_against_golden(normalize(session), "obs_sim_trace.txt");
+  test::check_against_golden(normalize(session), "obs_sim_trace.txt");
 }
 
 TEST(ObsGolden, NativeEventStreamMatchesGolden) {
@@ -172,7 +114,7 @@ TEST(ObsGolden, NativeEventStreamMatchesGolden) {
   eng.run_uow();
   // stall and push.wait fire only when a thread actually blocked — real
   // scheduling, so their counts vary run to run. Everything else is exact.
-  check_against_golden(normalize(session, {"stall", "push.wait"}),
+  test::check_against_golden(normalize(session, {"stall", "push.wait"}),
                        "obs_native_trace.txt");
 }
 

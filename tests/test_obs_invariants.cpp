@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -10,6 +11,7 @@
 #include "io/chunk_store.hpp"
 #include "io/format.hpp"
 #include "io/reader.hpp"
+#include "obs/recorder.hpp"
 #include "sim/fault.hpp"
 #include "sim/rng.hpp"
 #include "test_util.hpp"
@@ -227,7 +229,8 @@ TEST(ObsInvariants, EnginesAgreeOnTheLedger) {
 
 core::UowOutcome run_faulted(const Shape& s, core::Policy pol,
                              std::uint64_t seed, const sim::FaultPlan* plan,
-                             core::Metrics& out) {
+                             core::Metrics& out,
+                             obs::TraceSession* session = nullptr) {
   sim::Simulation sim;
   sim::Topology topo(sim);
   test::add_plain_nodes(topo, 1 + static_cast<int>(s.copies.size()));
@@ -239,7 +242,10 @@ core::UowOutcome run_faulted(const Shape& s, core::Policy pol,
   cfg.detection = core::FailureDetection::kMembership;
   cfg.rng_seed = seed;
   core::Runtime rt(topo, g, p, cfg);
-  if (plan) plan->arm(topo);
+  rt.set_obs(session);
+  if (plan) {
+    plan->arm(topo, session ? &session->track("sim:faults") : nullptr);
+  }
   const core::UowOutcome outcome = rt.run_uow_outcome();
   out = rt.metrics();
   return outcome;
@@ -262,7 +268,9 @@ TEST(ObsInvariants, FaultedRunsConserveOrCountEveryBuffer) {
       sim::FaultPlan plan;
       plan.crash_host(0.5 * base.makespan, 1);
       core::Metrics m;
-      const core::UowOutcome outcome = run_faulted(s, pol, seed, &plan, m);
+      obs::TraceSession session;
+      const core::UowOutcome outcome =
+          run_faulted(s, pol, seed, &plan, m, &session);
       const Tally t = tally(m, 0, 1);
 
       EXPECT_EQ(outcome.status, core::UowStatus::kDegraded);
@@ -286,6 +294,22 @@ TEST(ObsInvariants, FaultedRunsConserveOrCountEveryBuffer) {
         EXPECT_LE(m.acks_total, t.acks_sent);
         EXPECT_LE(t.acks_sent, t.consumed_buffers);
       }
+      // The trace tells the same story as the ledger: one failover instant
+      // per failover, retransmit counts summing to the retransmits, one
+      // dup.ack per duplicate, and the injected crash itself.
+      ASSERT_EQ(session.dropped_events(), 0u);
+      std::uint64_t failovers = 0, retransmits = 0, dup_acks = 0, crashes = 0;
+      for (const obs::Event& e : session.ordered_events()) {
+        const std::string_view name = e.name;
+        if (name == "failover") ++failovers;
+        if (name == "retransmit") retransmits += static_cast<std::uint64_t>(e.a0);
+        if (name == "dup.ack") ++dup_acks;
+        if (name == "host-crash") ++crashes;
+      }
+      EXPECT_EQ(failovers, m.faults.failovers);
+      EXPECT_EQ(retransmits, m.faults.retransmits);
+      EXPECT_EQ(dup_acks, m.faults.buffers_duplicated);
+      EXPECT_GE(crashes, 1u);
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "core/runtime.hpp"
+#include "obs/recorder.hpp"
 #include "test_util.hpp"
 
 namespace dc::core {
@@ -268,39 +269,7 @@ TEST(RuntimeEdge, SingleHostWholePipelineWorks) {
   EXPECT_EQ(*total, 45u);
 }
 
-TEST(RuntimeEdge, TraceRecordsLifecycleEvents) {
-  class Sink : public Filter {
-   public:
-    void process_buffer(FilterContext& ctx, int, const Buffer&) override {
-      ctx.charge(10.0);
-    }
-  };
-  sim::Simulation simulation;
-  sim::Topology topo(simulation);
-  test::add_plain_nodes(topo, 2);
-  Graph g;
-  g.add_source("src", [] { return std::make_unique<OneShotSource>(5); });
-  g.add_filter("sink", [] { return std::make_unique<Sink>(); });
-  g.connect(0, 0, 1, 0);
-  Placement p;
-  p.place(0, 0).place(1, 1);
-  Runtime rt(topo, g, p, {});
-  rt.trace().enable();
-  rt.run_uow();
-  EXPECT_EQ(rt.trace().count("dispatch"), 5u);
-  EXPECT_EQ(rt.trace().count("consume"), 5u);
-  EXPECT_EQ(rt.trace().count("eow"), 2u);     // source + sink
-  EXPECT_EQ(rt.trace().count("finish"), 2u);
-  // Detail strings carry filter name, copy index, and host.
-  EXPECT_NE(rt.trace().dump().find("src#0@h0"), std::string::npos);
-
-  // Disabled by default: a fresh runtime records nothing.
-  Runtime rt2(topo, g, p, {});
-  rt2.run_uow();
-  EXPECT_TRUE(rt2.trace().records().empty());
-}
-
-TEST(RuntimeEdge, TraceOffByDefaultCostsNothing) {
+TEST(RuntimeEdge, ObsDetachedByDefaultAndDetachStopsRecording) {
   sim::Simulation simulation;
   sim::Topology topo(simulation);
   test::add_plain_nodes(topo, 1);
@@ -315,9 +284,14 @@ TEST(RuntimeEdge, TraceOffByDefaultCostsNothing) {
   Placement p;
   p.place(0, 0).place(1, 0);
   Runtime rt(topo, g, p, {});
+  EXPECT_EQ(rt.obs(), nullptr);
+  // A session attached and then detached before the run records nothing.
+  obs::TraceSession session;
+  rt.set_obs(&session);
+  rt.set_obs(nullptr);
   rt.run_uow();
-  EXPECT_FALSE(rt.trace().enabled());
-  EXPECT_TRUE(rt.trace().records().empty());
+  EXPECT_TRUE(session.tracks().empty());
+  EXPECT_EQ(session.event_count(), 0u);
 }
 
 TEST(RuntimeEdge, ResetMetricsClearsCounters) {
