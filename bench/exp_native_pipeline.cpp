@@ -102,12 +102,6 @@ int main(int argc, char** argv) {
 
   const std::uint64_t reference = direct_render(w, 0).digest();
 
-  // One observability session for the whole binary. It stays DISABLED during
-  // the scaling sweep and the overhead measurement (compiled in, one branch
-  // per emit site) and is enabled only for the final --trace capture run.
-  obs::TraceSession session;
-  session.set_enabled(false);
-
   auto make_spec = [&](int copies) {
     viz::IsoAppSpec spec;
     spec.workload = w;
@@ -147,52 +141,19 @@ int main(int argc, char** argv) {
       "Speedups are bounded by the machine's core count; on a single core\n"
       "the curve is flat and only shows the engine's threading overhead.\n");
 
-  // Tracing-overhead check (ISSUE acceptance): the same 2-copy render with a
-  // trace session attached but disabled must cost within noise of a run with
-  // no session at all — every emit site reduces to one relaxed atomic load
-  // and branch. Short wall-clock runs on a loaded machine are noisy, so the
-  // two variants are interleaved over several repetitions and compared by
-  // their MINIMUM per-timestep time (the standard scheduler-noise filter).
-  double base_s = 0.0, disabled_s = 0.0;
-  {
-    constexpr int kReps = 8;
-    const int uows = args.uows < 5 ? 5 : args.uows;
-    auto measure = [&](bool with_session) {
-      viz::IsoAppSpec spec = make_spec(2);
-      if (with_session) spec.trace = &session;  // enabled() == false here
-      return viz::run_iso_app_native(spec, cfg, uows).avg;
-    };
-    for (int rep = 0; rep < kReps; ++rep) {
-      // Alternate the order so slow drift in machine load cancels out.
-      const bool session_first = (rep % 2) != 0;
-      const double first = measure(session_first);
-      const double second = measure(!session_first);
-      const double b = session_first ? second : first;
-      const double d = session_first ? first : second;
-      if (rep == 0 || b < base_s) base_s = b;
-      if (rep == 0 || d < disabled_s) disabled_s = d;
-    }
-  }
-  const double overhead_pct = base_s > 0.0
-                                  ? (disabled_s - base_s) / base_s * 100.0
-                                  : 0.0;
-  std::printf("tracing disabled-path overhead: %.2f%% (%.4fs -> %.4fs)\n",
-              overhead_pct, base_s, disabled_s);
-
-  // Optional Perfetto capture of one 4-copy render in the same session.
+  // Optional Perfetto capture of one 4-copy render. The cost of tracing
+  // when disabled is perfbench's obs.trace_overhead_pct.
   if (!args.trace_path.empty()) {
-    session.set_enabled(true);
+    obs::TraceSession session;
     viz::IsoAppSpec spec = make_spec(4);
     spec.trace = &session;
     (void)viz::run_iso_app_native(spec, cfg, /*uows=*/1);
-    session.set_enabled(false);
     exp::maybe_write_trace(args, session);
   }
 
   obs::MetricsRegistry reg;
   reg.set("hardware_threads",
           static_cast<std::int64_t>(std::thread::hardware_concurrency()));
-  reg.set("trace_disabled_overhead_pct", overhead_pct);
   for (const ScalePoint& pt : points) {
     const std::string k = "sweep.copies" + std::to_string(pt.ra_copies);
     reg.set(k + ".wall_s", pt.wall_s);

@@ -135,6 +135,16 @@ TiledApp build_tiled_iso_app(const viz::IsoAppSpec& spec,
   return t;
 }
 
+viz::RenderRun run_tiled_iso_app(sim::Topology& topo,
+                                 const viz::IsoAppSpec& spec,
+                                 const TiledCompSpec& comp,
+                                 const core::RuntimeConfig& cfg, int uows,
+                                 std::shared_ptr<CompStats>* stats) {
+  TiledApp t = build_tiled_iso_app(spec, comp);
+  if (stats != nullptr) *stats = t.stats;
+  return viz::run_app(topo, t.app, cfg, uows, spec.trace);
+}
+
 TiledNativeRun run_tiled_iso_app_native(const viz::IsoAppSpec& spec,
                                         const TiledCompSpec& comp,
                                         const core::RuntimeConfig& cfg,

@@ -47,6 +47,16 @@ struct TiledApp {
 [[nodiscard]] TiledApp build_tiled_iso_app(const viz::IsoAppSpec& spec,
                                            const TiledCompSpec& comp);
 
+/// Builds and runs the tiled app on the simulator (core::Runtime): the
+/// paper's Section 6 hybrid — rasters replicated, the image partitioned
+/// among tile owners — on the virtual clock. When `stats` is non-null it
+/// receives the run's compositor counters.
+viz::RenderRun run_tiled_iso_app(sim::Topology& topo,
+                                 const viz::IsoAppSpec& spec,
+                                 const TiledCompSpec& comp,
+                                 const core::RuntimeConfig& cfg, int uows,
+                                 std::shared_ptr<CompStats>* stats = nullptr);
+
 /// Outcome of a native (threaded) tiled render.
 struct TiledNativeRun {
   std::vector<double> per_uow;  ///< wall-clock makespan per timestep

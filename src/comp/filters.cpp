@@ -184,7 +184,7 @@ void TileGatherFilter::init(core::FilterContext& ctx) {
 void TileGatherFilter::process_buffer(core::FilterContext& ctx, int /*port*/,
                                       const core::Buffer& buf) {
   const TileLayout& layout = map_->layout();
-  std::size_t entries_seen = 0;
+  std::size_t partial_entries = 0;
   for_each_frame(buf, [&](const FragHeader& h, const std::byte* payload) {
     switch (static_cast<FragKind>(h.kind)) {
       case FragKind::kComplete: {
@@ -202,7 +202,6 @@ void TileGatherFilter::process_buffer(core::FilterContext& ctx, int /*port*/,
                     std::span<const std::uint32_t>(
                         reinterpret_cast<const std::uint32_t*>(payload),
                         static_cast<std::size_t>(h.entries)));
-        entries_seen += static_cast<std::size_t>(h.entries);
         break;
       }
       case FragKind::kPartial: {
@@ -212,14 +211,16 @@ void TileGatherFilter::process_buffer(core::FilterContext& ctx, int /*port*/,
                       sizeof(e));
           overlay_.apply(e);
         }
-        entries_seen += static_cast<std::size_t>(h.entries);
+        partial_entries += static_cast<std::size_t>(h.entries);
         break;
       }
       default:
         throw std::runtime_error("G: unexpected frame kind on input");
     }
   });
-  ctx.charge(w_.cost.merge_per_entry * static_cast<double>(entries_seen));
+  // Only partial entries are z-merged; a complete tile is a blit, and its
+  // pixels are charged once, as image_per_pixel, at end of work.
+  ctx.charge(w_.cost.merge_per_entry * static_cast<double>(partial_entries));
 }
 
 void TileGatherFilter::process_eow(core::FilterContext& ctx) {

@@ -147,6 +147,9 @@ void FragRouter::finish(core::FilterContext& ctx) {
     flush(ctx, o);
   }
   std::fill(counts_.begin(), counts_.end(), 0);
+  // Release the staging: a dense z-buffer dump grows it to the whole frame,
+  // and every producer copy would otherwise hold that much until it dies.
+  for (auto& pending : staged_) std::vector<viz::PixEntry>().swap(pending);
 }
 
 }  // namespace dc::comp

@@ -96,12 +96,11 @@ IsoApp build_iso_app(const IsoAppSpec& spec) {
   return app;
 }
 
-RenderRun run_iso_app(sim::Topology& topo, const IsoAppSpec& spec,
-                      const core::RuntimeConfig& rt_config, int uows) {
-  IsoApp app = build_iso_app(spec);
-  core::RuntimeConfig cfg = rt_config;
-  core::Runtime rt(topo, app.graph, app.placement, cfg);
-  rt.set_obs(spec.trace);
+RenderRun run_app(sim::Topology& topo, const IsoApp& app,
+                  const core::RuntimeConfig& rt_config, int uows,
+                  obs::TraceSession* trace) {
+  core::Runtime rt(topo, app.graph, app.placement, rt_config);
+  rt.set_obs(trace);
 
   RenderRun run;
   run.sink = app.sink;
@@ -114,6 +113,11 @@ RenderRun run_iso_app(sim::Topology& topo, const IsoAppSpec& spec,
   run.avg = run.per_uow.empty() ? 0.0 : sum / static_cast<double>(run.per_uow.size());
   run.metrics = rt.metrics();
   return run;
+}
+
+RenderRun run_iso_app(sim::Topology& topo, const IsoAppSpec& spec,
+                      const core::RuntimeConfig& rt_config, int uows) {
+  return run_app(topo, build_iso_app(spec), rt_config, uows, spec.trace);
 }
 
 NativeRenderRun run_iso_app_native(const IsoAppSpec& spec,

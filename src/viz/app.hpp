@@ -74,6 +74,12 @@ struct RenderRun {
   int raster_filter = -1;
 };
 
+/// Runs an assembled app on the simulator for `uows` units of work, with
+/// `trace` (may be null) attached, and collects the results.
+RenderRun run_app(sim::Topology& topo, const IsoApp& app,
+                  const core::RuntimeConfig& rt_config, int uows,
+                  obs::TraceSession* trace);
+
 /// Convenience: build, run `uows` units of work, collect results.
 RenderRun run_iso_app(sim::Topology& topo, const IsoAppSpec& spec,
                       const core::RuntimeConfig& rt_config, int uows);

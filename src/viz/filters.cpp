@@ -282,22 +282,8 @@ void ExtractFilter::process_buffer(core::FilterContext& ctx, int /*port*/,
 // HsrEngine
 // ---------------------------------------------------------------------------
 
-void HsrEngine::set_partitioning(int stripes) {
-  if (stripes < 1) {
-    throw std::invalid_argument("HsrEngine: stripes must be >= 1");
-  }
-  stripes_ = stripes;
-}
-
-int HsrEngine::stripe_of(std::uint32_t index) const {
-  if (stripes_ == 1) return 0;
-  const int y = static_cast<int>(index / static_cast<std::uint32_t>(w_.width));
-  return std::min(stripes_ - 1, y / stripe_rows_);
-}
-
 void HsrEngine::init(core::FilterContext& ctx) {
   camera_ = w_.make_camera(ctx.uow_index());
-  stripe_rows_ = (w_.height + stripes_ - 1) / stripes_;
   if (alg_ == HsrAlgorithm::kZBuffer) {
     zb_ = ZBuffer(w_.width, w_.height);
     ctx.charge(w_.cost.zbuffer_touch_per_entry *
@@ -316,34 +302,15 @@ void HsrEngine::flush_entries(core::FilterContext& ctx,
     sink_(ctx, entries.data(), entries.size());
     return;
   }
-  if (stripes_ == 1) {
-    core::Buffer out = ctx.make_buffer(0);
-    for (const PixEntry& e : entries) {
-      if (!out.push(e)) {
-        ctx.write(0, out);
-        out = ctx.make_buffer(0);
-        out.push(e);
-      }
-    }
-    if (out.size() > 0) ctx.write(0, out);
-    return;
-  }
-  // Image-partitioned output: route each entry to its stripe's port.
-  std::vector<core::Buffer> outs(static_cast<std::size_t>(stripes_));
+  core::Buffer out = ctx.make_buffer(0);
   for (const PixEntry& e : entries) {
-    const int port = stripe_of(e.index);
-    core::Buffer& out = outs[static_cast<std::size_t>(port)];
-    if (out.capacity() == 0) out = ctx.make_buffer(port);
     if (!out.push(e)) {
-      ctx.write(port, out);
-      out = ctx.make_buffer(port);
+      ctx.write(0, out);
+      out = ctx.make_buffer(0);
       out.push(e);
     }
   }
-  for (int port = 0; port < stripes_; ++port) {
-    core::Buffer& out = outs[static_cast<std::size_t>(port)];
-    if (out.size() > 0) ctx.write(port, out);
-  }
+  if (out.size() > 0) ctx.write(0, out);
 }
 
 void HsrEngine::raster(core::FilterContext& ctx, const Triangle* tris,
@@ -386,41 +353,16 @@ void HsrEngine::input_boundary(core::FilterContext& ctx) {
 }
 
 void HsrEngine::eow(core::FilterContext& ctx) {
-  if (alg_ == HsrAlgorithm::kZBuffer && sink_) {
-    // Dense dump through the external sink: same index-ordered entries as
-    // the port path below, but the sink owns framing and routing.
+  if (alg_ == HsrAlgorithm::kZBuffer) {
+    // Dense dump: pixel information for inactive locations is transmitted
+    // too — the communication overhead the paper calls out.
     const auto size = static_cast<std::uint32_t>(zb_.size());
     std::vector<PixEntry> dense;
     dense.reserve(size);
     for (std::uint32_t i = 0; i < size; ++i) {
       dense.push_back(PixEntry{i, zb_.depth_at(i), zb_.rgba_at(i)});
     }
-    sink_(ctx, dense.data(), dense.size());
-    ctx.charge(w_.cost.zbuffer_touch_per_entry * static_cast<double>(size));
-    return;
-  }
-  if (alg_ == HsrAlgorithm::kZBuffer) {
-    // Dense dump: pixel information for inactive locations is transmitted
-    // too — the communication overhead the paper calls out. Indices run in
-    // stripe order, so per-stripe routing only changes ports at boundaries.
-    int port = 0;
-    core::Buffer out = ctx.make_buffer(0);
-    const auto size = static_cast<std::uint32_t>(zb_.size());
-    for (std::uint32_t i = 0; i < size; ++i) {
-      const int p = stripe_of(i);
-      if (p != port) {
-        if (out.size() > 0) ctx.write(port, out);
-        port = p;
-        out = ctx.make_buffer(port);
-      }
-      const PixEntry e{i, zb_.depth_at(i), zb_.rgba_at(i)};
-      if (!out.push(e)) {
-        ctx.write(port, out);
-        out = ctx.make_buffer(port);
-        out.push(e);
-      }
-    }
-    if (out.size() > 0) ctx.write(port, out);
+    flush_entries(ctx, dense);
     ctx.charge(w_.cost.zbuffer_touch_per_entry * static_cast<double>(size));
   } else if (ap_) {
     ap_->flush([&](const std::vector<PixEntry>& e) { flush_entries(ctx, e); });

@@ -127,11 +127,6 @@ class HsrEngine {
  public:
   HsrEngine(HsrAlgorithm alg, const VizWorkload& w) : alg_(alg), w_(w) {}
 
-  /// Image-partitioned output (the paper's future-work hybrid): entries are
-  /// routed to `stripes` output ports by horizontal screen stripe, so each
-  /// downstream merge copy owns a disjoint image region. Default: one port.
-  void set_partitioning(int stripes);
-
   void init(core::FilterContext& ctx);
   void raster(core::FilterContext& ctx, const Triangle* tris, std::size_t n);
   /// Active Pixel flushes its partial WPA at input-buffer boundaries.
@@ -140,40 +135,33 @@ class HsrEngine {
   void eow(core::FilterContext& ctx);
 
   [[nodiscard]] HsrAlgorithm algorithm() const { return alg_; }
-  [[nodiscard]] int stripes() const { return stripes_; }
-  [[nodiscard]] int stripe_of(std::uint32_t index) const;
 
   /// External fragment consumer: when set, every PixEntry batch — Active
   /// Pixel flushes and the dense z-buffer EOW dump alike — is handed to the
-  /// sink instead of being written to the engine's output ports. The
-  /// compositor's fragment router uses this to frame and route entries by
-  /// tile id; the sink takes over all writing. Mutually exclusive with
-  /// set_partitioning (stripe routing stays on the port path).
+  /// sink instead of being written to output port 0. The compositor's
+  /// fragment router uses this to frame and route entries by tile id; the
+  /// sink takes over all writing.
   using EntrySink =
       std::function<void(core::FilterContext&, const PixEntry*, std::size_t)>;
   void set_entry_sink(EntrySink sink) { sink_ = std::move(sink); }
 
  private:
+  /// The engine's one exit: hands `entries` to the entry sink when one is
+  /// set, else packs them into port-0 buffers.
   void flush_entries(core::FilterContext& ctx, const std::vector<PixEntry>& entries);
 
   HsrAlgorithm alg_;
   VizWorkload w_;
   Camera camera_;
-  int stripes_ = 1;
-  int stripe_rows_ = 0;
   EntrySink sink_;
   ZBuffer zb_;                               // kZBuffer
   std::unique_ptr<ActivePixelRaster> ap_;    // kActivePixel
 };
 
-/// Ra: rasterizes triangles with the chosen HSR algorithm. With
-/// `stripes > 1`, output is image-partitioned across that many ports.
+/// Ra: rasterizes triangles with the chosen HSR algorithm.
 class RasterFilter final : public core::Filter {
  public:
-  RasterFilter(HsrAlgorithm alg, VizWorkload w, int stripes = 1)
-      : engine_(alg, w) {
-    engine_.set_partitioning(stripes);
-  }
+  RasterFilter(HsrAlgorithm alg, VizWorkload w) : engine_(alg, w) {}
   /// The wrapped HSR engine, exposed so composing filters (the tiled
   /// compositor producers) can install an entry sink before init runs.
   [[nodiscard]] HsrEngine& engine() { return engine_; }

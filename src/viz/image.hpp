@@ -63,9 +63,8 @@ class Image {
   bool write_ppm(const std::string& path) const;
 
   // --- sub-rect (tile) views -----------------------------------------------
-  // Merge paths composite rectangular regions (stripes, compositor tiles)
-  // into a frame. These helpers replace the ad-hoc offset arithmetic the
-  // call sites used to carry; every rect is asserted in-bounds.
+  // The compositor assembles its frame from rectangular tiles; every rect
+  // is asserted in-bounds.
 
   /// Copies `src` into this image with its top-left corner at (x0, y0).
   void blit(int x0, int y0, const Image& src);

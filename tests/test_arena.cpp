@@ -346,6 +346,8 @@ TEST(ArenaConservation, AbortMidUowLeaksNothing) {
       EXPECT_THROW(eng.run_uow(), std::runtime_error) << "seed " << seed;
     }
     const ArenaStats after = arena.stats();
+    EXPECT_GT(after.slots_leased, before.slots_leased)
+        << "seed " << seed << ": aborted before leasing anything";
     EXPECT_EQ(after.outstanding(), 0u) << "seed " << seed;
   }
 }

@@ -57,7 +57,9 @@ TEST(Crc32c, SoftwareMatchesKnownAnswers) {
 TEST(Crc32c, BackendIsReported) {
   const std::string_view b = core::crc32c_backend();
   EXPECT_TRUE(b == "sse4.2" || b == "software") << b;
-  if (crc32c_hw_available()) EXPECT_EQ(b, "sse4.2");
+  if (crc32c_hw_available()) {
+    EXPECT_EQ(b, "sse4.2");
+  }
 }
 
 TEST(Crc32c, HardwareMatchesSoftwareOnFuzzedInputs) {

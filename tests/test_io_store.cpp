@@ -105,8 +105,8 @@ TEST(ChunkStoreFormat, HandleResolvesAndMissingThrows) {
   EXPECT_GE(h.offset, sizeof(FileHeader));
   EXPECT_GT(h.bytes, 0u);
   EXPECT_FALSE(store.contains(0, 5));
-  EXPECT_THROW(store.handle(0, 5), std::out_of_range);
-  EXPECT_THROW(store.handle(999, 0), std::out_of_range);
+  EXPECT_THROW((void)store.handle(0, 5), std::out_of_range);
+  EXPECT_THROW((void)store.handle(999, 0), std::out_of_range);
   fs::remove_all(root);
 }
 

@@ -1,11 +1,19 @@
-#include "viz/partitioned.hpp"
+// The paper's Section 6 hybrid — the image partitioned among merge copies,
+// the rasters replicated — run on the simulator through the tiled
+// compositor (comp::run_tiled_iso_app).
 
 #include <gtest/gtest.h>
 
+#include "comp/app.hpp"
 #include "test_util.hpp"
 
-namespace dc::viz {
+namespace dc::comp {
 namespace {
+
+using viz::HsrAlgorithm;
+using viz::IsoAppSpec;
+using viz::PipelineConfig;
+using viz::RenderRun;
 
 struct PartitionedFixture : ::testing::Test {
   sim::Simulation simulation;
@@ -19,86 +27,135 @@ struct PartitionedFixture : ::testing::Test {
     IsoAppSpec spec;
     spec.workload = test::make_workload(ds);
     spec.config = PipelineConfig::kRE_Ra_M;
-    spec.data_hosts = one_each(data);
-    spec.raster_hosts = one_each(raster);
+    spec.data_hosts = viz::one_each(data);
+    spec.raster_hosts = viz::one_each(raster);
     return spec;
   }
+
+  /// Runs the tiled app and checks that no tile came out partial.
+  RenderRun run_tiled(const IsoAppSpec& spec, const TiledCompSpec& comp,
+                      int uows) {
+    std::shared_ptr<CompStats> stats;
+    RenderRun run = run_tiled_iso_app(topo, spec, comp, {}, uows, &stats);
+    EXPECT_EQ(stats->tiles_partial.load(), 0u);
+    EXPECT_EQ(stats->tiles_complete.load(),
+              static_cast<std::uint64_t>(uows) *
+                  static_cast<std::uint64_t>(
+                      TileLayout{spec.workload.width, spec.workload.height,
+                                 comp.tile_px}
+                          .num_tiles()));
+    return run;
+  }
 };
+
+/// Share of the makespan the copies on `host` were busy.
+double busy_share(const RenderRun& run, int host) {
+  double busy = 0.0;
+  for (const auto& m : run.metrics.instances) {
+    if (m.host == host) busy += m.busy_time;
+  }
+  return busy / (run.avg * static_cast<double>(run.per_uow.size()));
+}
 
 TEST_F(PartitionedFixture, RejectsBadArguments) {
   test::add_plain_nodes(topo, 2);
   IsoAppSpec spec = spec_on({0}, {1});
-  EXPECT_THROW((void)build_partitioned_iso_app(spec, 0, {0}), std::invalid_argument);
-  EXPECT_THROW((void)build_partitioned_iso_app(spec, 2, {}), std::invalid_argument);
-  spec.config = PipelineConfig::kRERa_M;
-  EXPECT_THROW((void)build_partitioned_iso_app(spec, 2, {0}), std::invalid_argument);
+  TiledCompSpec comp;
+  EXPECT_THROW((void)build_tiled_iso_app(spec, comp), std::invalid_argument)
+      << "empty owner list";
+  for (int h = 0; h < 65; ++h) comp.owner_hosts.push_back(h);
+  EXPECT_THROW((void)build_tiled_iso_app(spec, comp), std::invalid_argument)
+      << "65 owners";
+  comp.owner_hosts = {0, 1, 0};
+  EXPECT_THROW((void)build_tiled_iso_app(spec, comp), std::invalid_argument)
+      << "duplicate owner hosts";
+  comp.owner_hosts = {0, 1};
+  IsoAppSpec no_store = spec;
+  no_store.workload.store = nullptr;
+  EXPECT_THROW((void)build_tiled_iso_app(no_store, comp), std::invalid_argument);
+  IsoAppSpec no_field = spec;
+  no_field.workload.field = nullptr;
+  EXPECT_THROW((void)build_tiled_iso_app(no_field, comp), std::invalid_argument);
+  EXPECT_NO_THROW((void)build_tiled_iso_app(spec, comp));
 }
 
-TEST_F(PartitionedFixture, StripedImageMatchesReference) {
-  test::add_plain_nodes(topo, 4);
+TEST_F(PartitionedFixture, TiledImageMatchesReference) {
+  // 64x50 cut by 7-px tiles leaves clipped edge tiles on both axes; 64-px
+  // tiles make one tile with every owner but one idle.
+  test::add_plain_nodes(topo, 6);
   IsoAppSpec spec = spec_on({0, 1}, {1, 2});
-  const Image reference = test::direct_render(spec.workload);
-  for (int stripes : {1, 2, 3, 4, 7}) {
-    for (HsrAlgorithm hsr : {HsrAlgorithm::kZBuffer, HsrAlgorithm::kActivePixel}) {
-      spec.hsr = hsr;
-      const RenderRun run =
-          run_partitioned_iso_app(topo, spec, stripes, {2, 3}, {}, 1);
-      ASSERT_EQ(run.sink->digests.size(), 1u);
-      EXPECT_EQ(run.sink->digests[0], reference.digest())
-          << stripes << " stripes / " << to_string(hsr);
+  spec.workload.width = 64;
+  spec.workload.height = 50;
+  spec.workload.vary_view_per_uow = true;
+  constexpr int kUows = 3;
+  std::vector<std::uint64_t> reference;
+  for (int u = 0; u < kUows; ++u) {
+    reference.push_back(test::direct_render(spec.workload, u).digest());
+  }
+  const std::vector<int> hosts = {2, 3, 4, 5};
+  for (HsrAlgorithm hsr : {HsrAlgorithm::kZBuffer, HsrAlgorithm::kActivePixel}) {
+    for (int owners : {1, 2, 4}) {
+      for (int tile_px : {7, 16, 64}) {
+        spec.hsr = hsr;
+        TiledCompSpec comp;
+        comp.tile_px = tile_px;
+        comp.owner_hosts.assign(hosts.begin(), hosts.begin() + owners);
+        comp.gather_host = 3;
+        const RenderRun run = run_tiled(spec, comp, kUows);
+        EXPECT_EQ(run.sink->digests, reference)
+            << to_string(hsr) << " / " << owners << " owners / " << tile_px
+            << "-px tiles";
+      }
     }
   }
 }
 
-TEST_F(PartitionedFixture, UnevenStripeHeightsStillExact) {
-  test::add_plain_nodes(topo, 2);
-  IsoAppSpec spec = spec_on({0}, {1});
-  spec.workload.height = 50;  // 50 rows over 4 stripes -> 13/13/13/11
-  spec.workload.width = 64;
-  const Image reference = test::direct_render(spec.workload);
-  const RenderRun run = run_partitioned_iso_app(topo, spec, 4, {0, 1}, {}, 1);
-  EXPECT_EQ(run.sink->digests.at(0), reference.digest());
-}
-
-TEST_F(PartitionedFixture, MultipleUowsAssembleInOrder) {
-  test::add_plain_nodes(topo, 3);
-  IsoAppSpec spec = spec_on({0}, {1, 2});
-  const RenderRun run = run_partitioned_iso_app(topo, spec, 3, {0, 1, 2}, {}, 3);
-  ASSERT_EQ(run.sink->digests.size(), 3u);
-  for (int u = 0; u < 3; ++u) {
-    EXPECT_EQ(run.sink->digests[static_cast<std::size_t>(u)],
-              test::direct_render(spec.workload, u).digest());
+TEST_F(PartitionedFixture, EveryDecompositionMatchesSingleMerge) {
+  test::add_plain_nodes(topo, 4);
+  IsoAppSpec spec = spec_on({0, 1}, {1, 2});
+  TiledCompSpec comp;
+  comp.tile_px = 16;
+  comp.owner_hosts = {1, 2, 3};
+  comp.gather_host = 3;
+  for (PipelineConfig config : {PipelineConfig::kRERa_M,
+                                PipelineConfig::kRE_Ra_M,
+                                PipelineConfig::kR_ERa_M}) {
+    spec.config = config;
+    spec.merge_host = 3;
+    const RenderRun single = viz::run_iso_app(topo, spec, {}, 2);
+    const RenderRun tiled = run_tiled(spec, comp, 2);
+    EXPECT_EQ(tiled.sink->digests, single.sink->digests) << to_string(config);
   }
 }
 
 TEST_F(PartitionedFixture, RemovesMergeBottleneck) {
-  // With many raster copies feeding one merge host, partitioning the image
-  // across merge copies on distinct hosts must cut the makespan.
+  // Three raster copies feed one merge host, and merging costs enough that
+  // the single M copy is busy for nearly the whole makespan. Partitioning
+  // the image among four tile owners on distinct hosts must cut the
+  // makespan — which holds only if the gather G, the one stage still
+  // serial, is charged for the blits it does and not for a z-merge of
+  // every pixel.
   test::add_plain_nodes(topo, 8);
   IsoAppSpec spec = spec_on({0}, {1, 2, 3});
-  test::make_raster_bound(spec.workload, 50.0);
-  spec.workload.cost.merge_per_entry *= 200.0;  // force the merge bottleneck
+  spec.workload.cost.merge_per_entry *= 20000.0;
   spec.hsr = HsrAlgorithm::kActivePixel;
 
   spec.merge_host = 4;
-  const RenderRun single = run_iso_app(topo, spec, {}, 1);
-  const RenderRun striped =
-      run_partitioned_iso_app(topo, spec, 4, {4, 5, 6, 7}, {}, 1);
-  EXPECT_LT(striped.avg, single.avg);
-  EXPECT_EQ(striped.sink->digests, single.sink->digests);
-}
+  const RenderRun single = viz::run_iso_app(topo, spec, {}, 1);
+  EXPECT_GE(busy_share(single, 4), 0.9) << "single M is not the bottleneck";
 
-TEST(StripeAssemblerTest, AssemblesOutOfOrderStripes) {
-  auto sink = std::make_shared<RenderSink>();
-  StripeAssembler asm2(4, 4, 2, sink);
-  Image top(4, 2, 1), bottom(4, 2, 2);
-  asm2.add_stripe(0, 2, bottom);  // bottom first
-  EXPECT_TRUE(sink->digests.empty());
-  asm2.add_stripe(0, 0, top);
-  ASSERT_EQ(sink->images.size(), 1u);
-  EXPECT_EQ(sink->images[0].at(0, 0), 1u);
-  EXPECT_EQ(sink->images[0].at(0, 3), 2u);
+  TiledCompSpec comp;
+  // 64 hashed 8-px tiles leave the busiest owner 1.5x its even share of the
+  // merge work. With 16-px tiles this map seed gives owner 0 seven of the
+  // 16 tiles, the central ones among them, and 74 % of the merge work.
+  comp.tile_px = 8;
+  comp.owner_hosts = {4, 5, 6, 7};
+  comp.gather_host = 4;
+  const RenderRun tiled = run_tiled(spec, comp, 1);
+  EXPECT_LE(tiled.avg, 0.6 * single.avg)
+      << "tiled " << tiled.avg << " s vs single-M " << single.avg << " s";
+  EXPECT_EQ(tiled.sink->digests, single.sink->digests);
 }
 
 }  // namespace
-}  // namespace dc::viz
+}  // namespace dc::comp
